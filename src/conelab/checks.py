@@ -339,8 +339,8 @@ def _diagonal_psd_face(K: PsdCone) -> FaceHandle:
     )
 
     def member(x, tol=None):
-        _, _, gap = project_conic_generators(gens, np.asarray(x, dtype=float))
-        return bool(gap <= 1e-9 * max(1.0, float(np.linalg.norm(x))))
+        x = np.asarray(x, dtype=float)
+        return bool(np.linalg.norm(x - projector(x)) <= 1e-9 * max(1.0, float(np.linalg.norm(x))))
 
     def projector(x):
         p, _, _ = project_conic_generators(gens, np.asarray(x, dtype=float))

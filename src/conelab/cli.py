@@ -234,8 +234,8 @@ def _cone_from_obj(obj, where: str = "spec"):
         return CA.IntersectionCone(parts)
     if kind == "linear_image":
         return CA.LinearImageCone(
-            _cone_from_obj(obj["inner"], where + ".inner"),
             _matrix(obj["matrix"], where),
+            _cone_from_obj(obj["inner"], where + ".inner"),
         )
     if kind == "hull":
         import numpy as np
@@ -403,13 +403,11 @@ def _default_region(K, F, seed: int):
     from .linalg_core import BoundedRegion
 
     rng = np.random.default_rng(seed)
-    pts = F.sample(8, rng) if hasattr(F, "sample") else None
-    if pts is None:
-        sampler = F.descriptor.get("sampler")
-        if sampler is not None:
-            pts = np.asarray(sampler(8, rng), dtype=float)
-        else:
-            pts = sample_points(K, 8, rng)
+    sampler = F.descriptor.get("sampler")
+    if sampler is not None:
+        pts = np.asarray(sampler(8, rng), dtype=float)
+    else:
+        pts = sample_points(K, 8, rng)
     center = np.mean(np.atleast_2d(pts), axis=0)
     return BoundedRegion(center=center, radius=1.0)
 

@@ -60,7 +60,6 @@ from .projection_engine import (
 )
 
 __all__ = [
-    "CurveSet",
     "DeterminantIdentity",
     "SturmFamilyPoint",
     "VerificationGridError",
@@ -145,30 +144,6 @@ def gamma_velocity(t):
     t = np.asarray(t, dtype=float)
     dz = -9.0 / 8.0 * np.sin(t) + 3.0 / 8.0 * np.sin(3.0 * t)
     return np.stack([-4.0 * np.sin(2.0 * t), 4.0 * np.cos(2.0 * t), dz], axis=-1)
-
-
-@dataclass(frozen=True)
-class CurveSet:
-    """The three boundary curves of the body, bundled with a sampling density.
-
-    Seam identities: gamma(0) = alpha(0) = (1, 0, 1) and gamma(pi) = beta(0)
-    = (1, 0, -1); the reflection (x, y, z) -> (x, -y, -z) maps the sampled
-    extreme-point cloud onto itself.
-    """
-
-    sample_density: int = 2048
-
-    def alpha(self, t):
-        return curve_alpha(t)
-
-    def beta(self, t):
-        return curve_beta(t)
-
-    def gamma(self, t):
-        return curve_gamma(t)
-
-    def cloud(self):
-        return curve_cloud(self.sample_density)
 
 
 def curve_cloud(density: int, gamma_extra=(), windows=()):
@@ -432,7 +407,6 @@ def body(density: int = 2048) -> GallerySet:
         sample_fn=sample_fn,
         extra={
             "dense_samples": lambda: pts,
-            "curves": CurveSet(density),
             "density": density,
         },
     )
@@ -1007,8 +981,7 @@ def _seam_conjugate_face(parent_dual: GallerySet, generators: np.ndarray) -> Fac
 
     def member(x, tol=DEFAULT_TOL):
         x = np.asarray(x, dtype=float)
-        _, _, gap = project_conic_generators(generators, x)
-        return bool(gap <= 1e-9 * max(1.0, float(np.linalg.norm(x))))
+        return bool(np.linalg.norm(x - projector(x)) <= 1e-9 * max(1.0, float(np.linalg.norm(x))))
 
     def projector(x):
         p, _, _ = project_conic_generators(generators, np.asarray(x, dtype=float))
@@ -1280,15 +1253,12 @@ def sturm_face(C: GallerySet | None = None) -> FaceHandle:
 @dataclass(frozen=True)
 class SturmFamilyPoint:
     """Boundary family member x_eps = [[1/(eps^2 + eps^3), 1/eps], [1/eps,
-    1 + eps]] with its distances and the nearest-face-point bound."""
+    1 + eps]] with its distances to the slice and to the face's affine hull."""
 
     eps: float
     x_eps: np.ndarray
     dist_to_C: float
     dist_to_aff_face: float
-
-    def y11_lower_bound(self, kappa: float) -> float:
-        return 1.0 / (self.eps * (1.0 + self.eps)) - 2.0 * (kappa + 1.0)
 
 
 def sturm_family(eps: float) -> SturmFamilyPoint:

@@ -1,17 +1,19 @@
 """Euclidean projections onto cone specifications and convex hulls.
 
 Closed forms are used wherever they exist (orthant clipping, halfspaces,
-subspaces, the second-order cone, PSD eigenvalue clipping). Finitely generated
-cones go through nonnegative least squares, which is an exact active-set
-method. Intersections run Dykstra's alternating scheme, and hulls of sampled
-point clouds run a projected-gradient phase followed by an active-set polish
-with a Frank-Wolfe style optimality certificate.
+subspaces, the second-order cone, PSD eigenvalue clipping). Intersections run
+Dykstra's alternating scheme. Finite projections run one exact active-set
+solve each: finitely generated cones go through Lawson-Hanson nonnegative
+least squares (scipy's `nnls`), and hulls of point clouds through Wolfe's
+minimum-norm-point method. Both finite kernels either return an answer whose
+optimality certificate is within tolerance or raise NonConvergenceError.
 
 A point that is already in the cone comes back unchanged: the orthant,
 halfspace and second-order-cone closed forms and the PSD eigenvalue clip return
-the input's values when nothing is clipped, and the generator kernel returns
-the input when its weights reproduce it to rounding level, adding that rounding
-residual to the certificate. Subspaces and linear images of cones still round.
+the input's values when nothing is clipped, and the subspace, orthonormal
+linear-image, generator and hull projections return the input when their
+answer reproduces it to rounding level, adding that rounding residual to the
+certificate.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
+from scipy.optimize import nnls
 
 from .cone_algebra import (
     ConeSpec,
@@ -126,65 +128,56 @@ def project_scaled_soc(x: np.ndarray, slope: float) -> np.ndarray:
     return out
 
 
-# Rounding level at which project_conic_generators treats its weights as
-# reproducing x: far below its 1e-10 pairing test and the 1e-12 level at which
+# Rounding level at which a projection is taken to reproduce its input: far
+# below the kernels' 1e-10 certificate tolerance and the 1e-12 level at which
 # the amenability probes treat a distance as zero.
 MEMBER_SNAP = 16.0 * np.finfo(float).eps
+
+# Certificate tolerance of the finite kernels: the hull kernel's Frank-Wolfe
+# gap must reach GAP_TOL, the generator kernel's KKT gap GAP_TOL * max(1, ||x||).
+GAP_TOL = 1e-10
+# Iteration cap of the hull kernel's Wolfe loop.
+HULL_MAX_ITER = 20000
+
+
+def _snap_member(x: np.ndarray, p: np.ndarray, gap: float):
+    """(x.copy(), gap + r) when the answer p reproduces x to rounding level,
+    r = ||x - p|| <= MEMBER_SNAP * max(1, ||x||); (p, gap) otherwise. The snap
+    widens the certificate by r and never hides it; a NaN r never snaps."""
+    r = float(np.linalg.norm(x - p))
+    if r <= MEMBER_SNAP * max(1.0, float(np.linalg.norm(x))):
+        return x.copy(), gap + r
+    return p, gap
 
 
 def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     """Exact projection onto cone{rows of generators}.
 
-    Active-set support growth: solve the bounded least-squares subproblem on
-    the current support, then add the generator pairing most positively with
-    the residual until none violates the optimality condition
-    <g_i, x - p> <= 0. The subproblem objective strictly decreases whenever a
-    violator is added, so the loop terminates; a one-shot solve over all
-    columns backs it up. Returns (point, weights, kkt_gap).
+    One Lawson-Hanson nonnegative least-squares solve, min ||G^T lam - x||
+    over lam >= 0, certified by the KKT gap max(0, max_i <g_i, x - p>) +
+    |<lam, G (x - p)>| with p = G^T lam. Returns (point, weights, kkt_gap).
+    Raises NonConvergenceError when the solve hits its iteration cap or the
+    gap exceeds GAP_TOL * max(1, ||x||).
 
-    When the converged weights reproduce x to rounding level, that is
-    ||x - G^T lam|| <= MEMBER_SNAP * max(1, ||x||), x is a cone member and a
-    copy of x is returned as the point; the residual ||x - G^T lam|| is added
-    to kkt_gap, so the snap widens the certificate and never hides it."""
+    A member comes back unchanged: when p reproduces x to rounding level
+    (see _snap_member) a copy of x is returned and ||x - p|| is added to the
+    gap."""
     G = np.asarray(generators, dtype=float)
     x = np.asarray(x, dtype=float)
     n = G.shape[0]
-    lam = np.zeros(n)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    scores = G @ x if n else np.zeros(0)
-    if n == 0 or float(scores.max(initial=-np.inf)) <= 0.0:
-        # the origin is optimal: every generator points away from x
-        gap = float(max(0.0, scores.max(initial=0.0)))
-        return np.zeros_like(x), lam, gap
-    support = {int(np.argmax(scores))}
-    for _ in range(200):
-        idx = np.fromiter(support, dtype=int)
-        idx.sort()
-        sol = lsq_linear(
-            G[idx].T, x, bounds=(0.0, np.inf), method="bvls",
-            max_iter=max(300, 3 * idx.size),
-        )
-        lam_s = np.maximum(sol.x, 0.0)
-        p = G[idx].T @ lam_s
-        pair = G @ (x - p)
-        j = int(np.argmax(pair))
-        if pair[j] <= 1e-10 * scale:
-            lam[:] = 0.0
-            lam[idx] = lam_s
-            gap = float(max(0.0, pair[j])) + abs(float(lam_s @ pair[idx]))
-            resid = float(np.linalg.norm(x - p))
-            if resid <= MEMBER_SNAP * scale:  # False for a NaN residual
-                return x.copy(), lam, gap + resid
-            return p, lam, gap
-        support = {int(i) for i, w in zip(idx, lam_s) if w > 0.0}
-        support.add(j)
-    sol = lsq_linear(
-        G.T, x, bounds=(0.0, np.inf), method="bvls", max_iter=max(1000, 3 * n)
-    )
-    lam = np.maximum(sol.x, 0.0)
+    if n == 0:
+        return np.zeros_like(x), np.zeros(0), 0.0
+    max_iter = 3 * n  # scipy's default cap
+    try:
+        lam = nnls(G.T, x, maxiter=max_iter)[0]
+    except RuntimeError:
+        raise NonConvergenceError("nnls hit its iteration cap", max_iter, float("nan")) from None
     p = G.T @ lam
     pair = G @ (x - p)
-    gap = float(max(0.0, pair.max(initial=0.0))) + abs(float(lam @ pair))
+    gap = float(max(0.0, pair.max())) + abs(float(lam @ pair))
+    if not gap <= GAP_TOL * max(1.0, float(np.linalg.norm(x))):  # also catches a NaN gap
+        raise NonConvergenceError("nnls KKT gap above tolerance", 0, gap)
+    p, gap = _snap_member(x, p, gap)
     return p, lam, gap
 
 
@@ -226,7 +219,8 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
 
     if isinstance(K, LinearSubspace):
         p = (x @ K.basis.T) @ K.basis if K.subspace_dim else np.zeros_like(x)
-        return _result(x, p, "closed_form")
+        p, gap = _snap_member(x, p, 0.0)
+        return _result(x, p, "closed_form", 0, gap)
 
     if isinstance(K, SecondOrderCone):
         return _result(x, _project_soc(x), "closed_form")
@@ -274,11 +268,9 @@ def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> 
         # image of the inner cone under an isometry: push down, project, push up
         u = A.T @ x
         inner = project(K.inner, u, tol)
-        p = A @ inner.point
+        p, gap = _snap_member(x, A @ inner.point, inner.certificate_gap)
         # distance accounts for the component of x off the column span
-        return ProjectionResult(
-            p, float(np.linalg.norm(x - p)), inner.method, inner.iterations, inner.certificate_gap
-        )
+        return _result(x, p, inner.method, inner.iterations, gap)
     # general full-column-rank map: accelerated projected gradient on
     # min_z ||A z - x||^2 over z in inner; tagged with the QP family label.
     L = float(np.linalg.norm(A, 2) ** 2)
@@ -380,17 +372,8 @@ def dykstra_intersection(
 
 
 # ---------------------------------------------------------------------------
-# Convex-hull projection (simplex-constrained QP)
+# Convex-hull projection (Wolfe's minimum-norm-point method)
 # ---------------------------------------------------------------------------
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u > css / np.arange(1, v.size + 1))[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
 
 
 def _fw_gap(points: np.ndarray, x: np.ndarray, y: np.ndarray):
@@ -401,100 +384,51 @@ def _fw_gap(points: np.ndarray, x: np.ndarray, y: np.ndarray):
     return max(0.0, float(scores[j])), j
 
 
-def project_hull(
-    points,
-    x,
-    gap_tol: float = 1e-10,
-    max_iter: int = 20000,
-    return_weights: bool = False,
-):
+def _affine_weights(Ps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Weights mu with sum(mu) = 1 of the point of aff(rows of Ps) nearest x.
+
+    The constraint is eliminated, mu = (1 - sum(nu), nu) with nu the least
+    squares solution of (Ps[1:] - Ps[0])^T nu = x - Ps[0], so the conditioning
+    of the support is not squared as in the bordered normal equations."""
+    nu = np.linalg.lstsq((Ps[1:] - Ps[0]).T, x - Ps[0], rcond=None)[0]
+    return np.concatenate([[1.0 - nu.sum()], nu])
+
+
+def project_hull(points, x, return_weights: bool = False):
     """Exact nearest point of conv(rows of points) from x.
 
-    A short projected-gradient phase with Armijo backtracking produces a good
-    support estimate; an active-set polish then solves the equality-constrained
-    least-squares system on the support, dropping negative weights and adding
-    the most violating vertex until the Frank-Wolfe gap certifies optimality.
+    Wolfe's minimum-norm-point method (Wolfe 1976), started at the nearest
+    vertex: the major cycle adds the vertex with the largest Frank-Wolfe gap,
+    the minor cycle solves the affine least-squares problem on the support and
+    steps back to the last feasible point, dropping the vertex whose weight
+    reaches zero, whenever a weight of that solution is negative. The answer
+    is certified by a Frank-Wolfe gap of at most GAP_TOL; the loop raises
+    NonConvergenceError when it stalls (the most violating vertex is already
+    in the support) or reaches HULL_MAX_ITER iterations.
+
+    A member comes back unchanged: when the hull point reproduces x to
+    rounding level (see _snap_member) a copy of x is returned and the
+    residual is added to the gap. With return_weights the convex weights over
+    all rows come back too.
     """
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
     m = P.shape[0]
     if m == 0:
         raise ValueError("empty point set")
-    if m == 1:
-        y = P[0].copy()
-        res = ProjectionResult(y, float(np.linalg.norm(x - y)), "hull_qp", 0, 0.0)
-        return (res, np.ones(1)) if return_weights else res
 
-    # phase 1: projected gradient on the simplex
-    lam = np.zeros(m)
-    lam[int(np.argmin(np.linalg.norm(P - x, axis=1)))] = 1.0
-    y = lam @ P
-    f = float((x - y) @ (x - y))
-    step = 1.0 / max(1.0, float(np.linalg.norm(P, 2) ** 2))
-    iters = 0
-    for _ in range(120):
-        iters += 1
-        grad = 2.0 * (P @ (y - x))
-        eta = step * m
-        for _ in range(30):
-            cand = _project_simplex(lam - eta * grad)
-            ycand = cand @ P
-            fcand = float((x - ycand) @ (x - ycand))
-            if fcand <= f - 1e-4 * eta * float(grad @ (lam - cand)) or fcand < f:
-                break
-            eta *= 0.5
-        if fcand >= f - 1e-14 * max(1.0, f):
-            if fcand < f:
-                lam, y, f = cand, ycand, fcand
-            break
-        lam, y, f = cand, ycand, fcand
-        gap, _ = _fw_gap(P, x, y)
-        if gap <= max(gap_tol, 1e-6 * f):
-            break
-
-    # phase 2: active-set polish
-    support = list(np.nonzero(lam > 1e-12)[0])
-    if not support:
-        support = [int(np.argmin(np.linalg.norm(P - x, axis=1)))]
-    # Caratheodory: an optimal support needs at most d+1 vertices, so a wide
-    # phase-1 support is pruned to its heaviest members; the add step below
-    # restores anything that still matters.
-    cap = max(8, 4 * (P.shape[1] + 1))
-    if len(support) > cap:
-        order = np.argsort(lam[support])[::-1][:cap]
-        support = sorted(support[i] for i in order)
-    lam_s = lam[support]
-    ssum = lam_s.sum()
-    lam_s = lam_s / ssum if ssum > 0 else np.full(len(support), 1.0 / len(support))
-
-    def solve_support(idx):
-        Ps = P[idx]
-        k = len(idx)
-        # KKT system of min ||x - Ps^T mu||^2 subject to sum(mu) = 1
-        M = np.zeros((k + 1, k + 1))
-        M[:k, :k] = 2.0 * (Ps @ Ps.T)
-        M[:k, k] = 1.0
-        M[k, :k] = 1.0
-        rhs = np.concatenate([2.0 * (Ps @ x), [1.0]])
-        sol = np.linalg.lstsq(M, rhs, rcond=None)[0]
-        return sol[:k]
-
+    support = [int(np.argmin(np.linalg.norm(P - x, axis=1)))]
+    lam_s = np.ones(1)
     gap = np.inf
-    for _ in range(max_iter):
-        iters += 1
-        mu = solve_support(support)
+    for iters in range(1, HULL_MAX_ITER + 1):
+        mu = _affine_weights(P[support], x)
         if mu.min() < -1e-12:
-            # Wolfe drop step: move from lam_s toward mu until a weight hits zero
+            # minor cycle: move from lam_s toward mu until a weight hits zero
             d = mu - lam_s
             mask = d < -1e-15
-            with np.errstate(divide="ignore", invalid="ignore"):
-                steps = -lam_s[mask] / d[mask]
-            t_star = float(np.min(steps))
-            lam_s = lam_s + min(1.0, t_star) * d
-            lam_s = np.maximum(lam_s, 0.0)
-            keep = lam_s > 1e-14
-            if not np.any(keep):
-                keep[int(np.argmax(lam_s))] = True
+            t_star = float(np.min(-lam_s[mask] / d[mask]))
+            lam_s = np.maximum(lam_s + min(1.0, t_star) * d, 0.0)
+            keep = lam_s > 1e-14  # weights still sum to 1, so one is kept
             support = [s for s, k_ in zip(support, keep) if k_]
             lam_s = lam_s[keep]
             lam_s /= lam_s.sum()
@@ -503,17 +437,19 @@ def project_hull(
         lam_s /= lam_s.sum()
         y = lam_s @ P[support]
         gap, j = _fw_gap(P, x, y)
-        if gap <= gap_tol:
+        if gap <= GAP_TOL:
             break
         if j in support:
-            # numerically stuck: the most violating vertex is already active
-            break
+            raise NonConvergenceError(
+                "project_hull stalled: the most violating vertex is already active", iters, gap
+            )
         support.append(j)
         lam_s = np.append(lam_s, 0.0)
+    else:
+        raise NonConvergenceError("project_hull hit its iteration cap", HULL_MAX_ITER, gap)
 
-    y = lam_s @ P[support]
-    gap, _ = _fw_gap(P, x, y)
-    res = ProjectionResult(y, float(np.linalg.norm(x - y)), "hull_qp", iters, float(gap))
+    y, gap = _snap_member(x, y, gap)
+    res = _result(x, y, "hull_qp", iters, gap)
     if return_weights:
         full = np.zeros(m)
         full[support] = lam_s

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from conelab import checks
+from conelab.linalg_core import sym_to_vec
 
 
 EXPECTED_NAMES = {
@@ -101,3 +103,23 @@ class TestFastChecks:
         assert res.measured["gallery_deepest_radius"] == pytest.approx(
             0.5 * 2.0**-8
         )
+
+
+class TestDiagonalPsdFace:
+    """The face of PSD(2) used by the projections_dim4 containment count."""
+
+    @pytest.fixture()
+    def face(self):
+        from conelab.cone_algebra import PsdCone
+
+        return checks._diagonal_psd_face(PsdCone(2))
+
+    @pytest.mark.parametrize("diag", [(1.0, 0.0), (0.0, 2.0), (0.5, 3.0)])
+    def test_contains_nonnegative_diagonals(self, face, diag):
+        assert face.contains(sym_to_vec(np.diag(diag)))
+
+    @pytest.mark.parametrize(
+        "X", [[[1.0, 5.0], [5.0, 1.0]], [[-3.0, 0.0], [0.0, 1.0]], [[1.0, 1e-6], [1e-6, 1.0]]]
+    )
+    def test_rejects_points_off_the_face(self, face, X):
+        assert not face.contains(sym_to_vec(np.array(X)))

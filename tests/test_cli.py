@@ -155,6 +155,26 @@ class TestSpecParsing:
         assert code == 0
         assert _result(out)["distance"] == 0.0
 
+    def test_linear_image_spec(self, capsys, tmp_path):
+        # the rotation by 90 degrees of the quadrant is {x : x1 <= 0, x2 >= 0}
+        p = tmp_path / "image.json"
+        p.write_text(
+            json.dumps(
+                {
+                    "type": "linear_image",
+                    "matrix": [[0, -1], [1, 0]],
+                    "inner": {"type": "orthant", "dim": 2},
+                }
+            )
+        )
+        code, out, _ = _run(
+            capsys, ["project", "--spec", str(p), "--point", "1,2"]
+        )
+        assert code == 0
+        res = _result(out)
+        assert np.allclose(res["point"], [0.0, 2.0])
+        assert res["distance"] == pytest.approx(1.0)
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, soc3):

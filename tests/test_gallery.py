@@ -323,6 +323,15 @@ class TestCylinderObjects:
         r = is_exposed(cyl.hull, F)
         assert r.status == "exposed"
 
+    def test_seam_conjugate_face_membership(self, cyl):
+        # cone{(-1, 0, 0, 1), (0, 0, -1, 1)} inside the dual
+        F = G.seam_ray_faces(cyl.hull)[0].descriptor["conjugate_factory"]()
+        assert F.contains(np.array([-1.0, 0.0, -1.0, 2.0]))
+        assert F.contains(np.array([0.0, 0.0, -2.0, 2.0]))
+        assert not F.contains(np.array([1.0, 0.0, 0.0, 1.0]))
+        assert not F.contains(np.array([0.0, 0.0, 0.0, 1.0]))
+        assert not F.contains(np.array([1.0, 0.0, 0.0, -1.0]))
+
 
 class TestLiftedDiskFace:
     def test_projector_feasible_idempotent(self):

@@ -1,8 +1,11 @@
 """Tests for closed-form projections, generator cones, hulls, and Dykstra."""
+from itertools import combinations
+
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import minimize, nnls
 
+from conelab import projection_engine
 from conelab.cone_algebra import (
     ConicHull,
     IntersectionCone,
@@ -157,6 +160,28 @@ class TestMembersReturnedUnchanged:
         assert r.point.tobytes() == x.tobytes()
         assert r.distance == 0.0
 
+    def test_subspace_member(self):
+        x = np.array([0.3, 0.3, 0.0])
+        r = project(LinearSubspace(np.array([[1.0, 1.0, 0.0]])), x)
+        assert r.point.tobytes() == x.tobytes()
+        assert r.distance == 0.0
+
+    def test_orthonormal_linear_image_member(self):
+        Q = np.linalg.qr(np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 1.0]]))[0]
+        K = LinearImageCone(matrix=Q, inner=NonnegativeOrthant(2))
+        x = Q @ np.array([1.0, 2.0])
+        r = project(K, x)
+        assert r.point.tobytes() == x.tobytes()
+        assert r.distance == 0.0
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 1.0, 0.0], [0.0, 0.5, 0.5, 0.0]])
+    def test_hull_vertex_and_midpoint(self, weights):
+        P = np.array([[0.0, 0.0, 0.0], [1.0, 0.1, 0.0], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        x = np.array(weights) @ P
+        r = project_hull(P, x)
+        assert r.point.tobytes() == x.tobytes()
+        assert r.distance == 0.0
+
     @pytest.mark.parametrize("K", _pyramid_specs(), ids=["generators", "conic_hull"])
     def test_point_just_outside_not_snapped(self, K):
         # 1e-8 beyond the relative interior of the facet a + b = c
@@ -295,6 +320,70 @@ class TestHull:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             project_hull(np.zeros((0, 2)), np.zeros(2))
+
+
+def _brute_force_hull(P, x):
+    """Nearest point of conv(P) by enumeration: for every support of at most
+    d + 1 points, the nearest point of its affine hull, kept when its affine
+    weights are nonnegative; the nearest kept point wins."""
+    best = None
+    for k in range(1, P.shape[1] + 2):
+        for idx in combinations(range(P.shape[0]), k):
+            Ps = P[list(idx)]
+            nu = np.linalg.lstsq((Ps[1:] - Ps[0]).T, x - Ps[0], rcond=None)[0]
+            mu = np.concatenate([[1.0 - nu.sum()], nu])
+            if mu.min() < -1e-12:
+                continue
+            y = mu @ Ps
+            if best is None or np.linalg.norm(x - y) < np.linalg.norm(x - best):
+                best = y
+    return best
+
+
+def _cylinder_slice(n):
+    # the coplanar slice t = 1 of the cylinder hull: top and bottom circles
+    th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    top = np.column_stack([np.cos(th), np.sin(th), np.ones(n), np.ones(n)])
+    return np.vstack([top, top * [1.0, 1.0, -1.0, 1.0]])
+
+
+_RNG = np.random.default_rng(11)
+_TINY_CLOUDS = {
+    **{f"R{d}_m{m}": _RNG.standard_normal((m, d)) for d in (2, 3) for m in (2, 4, 7)},
+    "duplicated_4x": np.tile(_RNG.standard_normal((5, 2)), (4, 1)),
+    "flat_in_R3": np.column_stack([_RNG.standard_normal((7, 2)), np.zeros(7)]),
+    "cylinder_slice": _cylinder_slice(4),
+}
+
+
+class TestHullAgainstBruteForce:
+    @pytest.mark.parametrize("name", list(_TINY_CLOUDS))
+    def test_agrees_with_enumeration(self, name):
+        P = _TINY_CLOUDS[name]
+        rng = np.random.default_rng(12)
+        for scale in (0.3, 1.0, 3.0):
+            for _ in range(8):
+                x = rng.standard_normal(P.shape[1]) * scale
+                r = project_hull(P, x)
+                ref = _brute_force_hull(P, x)
+                np.testing.assert_allclose(r.point, ref, rtol=0.0, atol=1e-12)
+                assert abs(r.distance - np.linalg.norm(x - ref)) <= 1e-12
+                assert r.certificate_gap <= 1e-10
+
+
+class TestCertifiedOrRaise:
+    def test_hull_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(projection_engine, "HULL_MAX_ITER", 1)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(NonConvergenceError, match="iteration cap"):
+            project_hull(pts, np.array([1.0, 1.0]))
+
+    def test_nnls_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            projection_engine, "nnls", lambda A, b, maxiter=None: nnls(A, b, maxiter=1)
+        )
+        with pytest.raises(NonConvergenceError, match="iteration cap"):
+            project_conic_generators(PYRAMID, np.array([3.0, 1.0, 0.5]))
 
 
 class TestDykstra:
