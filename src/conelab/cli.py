@@ -178,9 +178,12 @@ def _floats(text: str, what: str):
     import numpy as np
 
     try:
-        return np.array([float(tok) for tok in text.split(",")])
+        vals = np.array([float(tok) for tok in text.split(",")])
     except ValueError:
         raise CliInputError(f"{what} must be comma-separated numbers, got {text!r}")
+    if not np.all(np.isfinite(vals)):
+        raise CliInputError(f"{what} must be finite numbers, got {text!r}")
+    return vals
 
 
 def _matrix(obj, where: str):
@@ -195,6 +198,16 @@ def _matrix(obj, where: str):
     return m
 
 
+def _key(obj: dict, key: str, where: str):
+    """obj[key], or an input error naming the missing key."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise CliInputError(
+            f"{where}: a {obj['type']!r} spec needs the key {key!r}"
+        ) from None
+
+
 def _cone_from_obj(obj, where: str = "spec"):
     from . import cone_algebra as CA
 
@@ -202,11 +215,11 @@ def _cone_from_obj(obj, where: str = "spec"):
         raise CliInputError(f'{where}: cone specs are objects with a "type" tag')
     kind = obj["type"]
     if kind == "orthant":
-        return CA.NonnegativeOrthant(int(obj["dim"]))
+        return CA.NonnegativeOrthant(int(_key(obj, "dim", where)))
     if kind == "soc":
-        return CA.SecondOrderCone(int(obj["dim"]))
+        return CA.SecondOrderCone(int(_key(obj, "dim", where)))
     if kind == "psd":
-        return CA.PsdCone(int(obj["n"]))
+        return CA.PsdCone(int(_key(obj, "n", where)))
     if kind == "polyhedral":
         if "inequalities" in obj:
             return CA.PolyhedralCone(_matrix(obj["inequalities"], where))
@@ -217,31 +230,32 @@ def _cone_from_obj(obj, where: str = "spec"):
         import numpy as np
 
         return CA.Halfspace(
-            np.array(obj["normal"], dtype=float), float(obj.get("offset", 0.0))
+            np.array(_key(obj, "normal", where), dtype=float),
+            float(obj.get("offset", 0.0)),
         )
     if kind == "subspace":
-        return CA.LinearSubspace(_matrix(obj["basis"], where))
+        return CA.LinearSubspace(_matrix(_key(obj, "basis", where), where))
     if kind == "product":
         return CA.ProductCone(
-            _cone_from_obj(obj["left"], where + ".left"),
-            _cone_from_obj(obj["right"], where + ".right"),
+            _cone_from_obj(_key(obj, "left", where), where + ".left"),
+            _cone_from_obj(_key(obj, "right", where), where + ".right"),
         )
     if kind == "intersection":
         parts = tuple(
             _cone_from_obj(p, f"{where}.parts[{i}]")
-            for i, p in enumerate(obj["parts"])
+            for i, p in enumerate(_key(obj, "parts", where))
         )
         return CA.IntersectionCone(parts)
     if kind == "linear_image":
         return CA.LinearImageCone(
-            _matrix(obj["matrix"], where),
-            _cone_from_obj(obj["inner"], where + ".inner"),
+            _matrix(_key(obj, "matrix", where), where),
+            _cone_from_obj(_key(obj, "inner", where), where + ".inner"),
         )
     if kind == "hull":
         import numpy as np
 
-        pts = _matrix(obj["points"], where)
-        e = np.array(obj["e"], dtype=float)
+        pts = _matrix(_key(obj, "points", where), where)
+        e = np.array(_key(obj, "e", where), dtype=float)
         if pts.shape[1] != e.shape[0]:
             raise CliInputError(f"{where}: hull points and e disagree on dimension")
         return CA.ConicHull(

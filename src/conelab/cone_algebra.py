@@ -615,11 +615,12 @@ def sample_points(K: ConeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
         t = rng.gamma(2.0, 1.0, size=n)
         return np.column_stack([y * (r * t)[:, None], t])
     if isinstance(K, PsdCone):
-        out = np.empty((n, K.dim))
+        # one draw per row keeps the generator's stream; one embedding call
+        grams = np.empty((n, K.n, K.n))
         for i in range(n):
             a = rng.standard_normal((K.n, max(1, rng.integers(1, K.n + 1))))
-            out[i] = sym_to_vec(a @ a.T)
-        return out
+            grams[i] = a @ a.T
+        return sym_to_vec(grams)
     if isinstance(K, PolyhedralCone):
         if K.generators is not None:
             w = rng.gamma(1.0, 1.0, size=(n, K.generators.shape[0]))

@@ -35,6 +35,7 @@ from .linalg_core import (
     Tolerance,
     complement_basis,
     orthonormalize,
+    row_norms,
     sym_to_vec,
     vec_to_sym,
 )
@@ -68,6 +69,10 @@ class FaceHandle:
     cone faces) or of the affine hull's direction space (for gallery set
     faces, which also set affine_basepoint). descriptor holds variant-specific
     data and optional closures used by the probes.
+
+    membership takes one point. exact_projector takes one point; for the
+    closed-form kinds ("zero", "orthant", "soc_ray", "psd_range") it also maps
+    a (..., d) stack to (..., d), each row to exactly the bits it gets alone.
     """
 
     parent: ConeSpec
@@ -100,10 +105,31 @@ class FaceHandle:
         return bool(self.membership(np.asarray(x, dtype=float), tol))
 
 
+# Face kinds whose exact projector is closed-form and maps stacks to stacks.
+_STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range"})
+
+
 def face_projection(F: FaceHandle, x) -> np.ndarray:
-    """Project onto the face, preferring its exact projector; otherwise run
-    Dykstra over the parent cone and the face's span (they intersect in F)."""
+    """Project a point, or an (n, d) stack of points row by row, onto the face.
+
+    The exact projector is preferred; without one, Dykstra runs over the
+    parent cone and the face's span (they intersect in F). A stack goes to
+    the projector in one call for the closed-form kinds of FaceHandle and
+    one row at a time otherwise; either way each row of the result is
+    bitwise the projection of that row alone.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        return _project_point(F, x)
+    if F.exact_projector is not None and F.descriptor.get("kind") in _STACKED_KINDS:
+        return F.exact_projector(x)
+    out = np.empty(x.shape)
+    for i, row in enumerate(x):
+        out[i] = _project_point(F, row)
+    return out
+
+
+def _project_point(F: FaceHandle, x: np.ndarray) -> np.ndarray:
     if F.exact_projector is not None:
         return F.exact_projector(x)
     aff = F.affine()
@@ -121,7 +147,7 @@ def face_samples(F: FaceHandle, n: int, rng: np.random.Generator) -> np.ndarray:
     raw = rng.standard_normal((n, d)) * 2.0
     if F.affine_basepoint is not None:
         raw = raw + F.affine_basepoint
-    return np.vstack([face_projection(F, r) for r in raw])
+    return face_projection(F, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +240,7 @@ def zero_face(K: ConeSpec) -> FaceHandle:
         parent=K,
         span_basis=np.zeros((0, d)),
         membership=lambda v, tol=DEFAULT_TOL: bool(np.linalg.norm(v) <= tol.margin(1.0)),
-        exact_projector=lambda v: np.zeros(d),
+        exact_projector=lambda v: np.zeros(np.shape(v)),
         descriptor={"kind": "zero"},
     )
 
@@ -233,7 +259,7 @@ def _orthant_face(K: NonnegativeOrthant, zeros: tuple) -> FaceHandle:
     def proj(v):
         p = np.maximum(v, 0.0)
         if zset.size:
-            p[zset] = 0.0
+            p[..., zset] = 0.0
         return p
 
     if len(zeros) == 0:
@@ -250,7 +276,9 @@ def _soc_ray_face(K: SecondOrderCone, g: np.ndarray) -> FaceHandle:
         return bool(c >= -e and np.linalg.norm(v - c * g) <= e)
 
     def proj(v):
-        return max(0.0, float(g @ v)) * g
+        # a BLAS dot per row, as g @ v is for one point; NaN and -0.0 clip to 0.0
+        c = (v[..., None, :] @ g)[..., 0]
+        return np.where(c > 0.0, c, 0.0)[..., None] * g
 
     return FaceHandle(K, g[None, :].copy(), member, proj, {"kind": "soc_ray", "generator": g.copy()})
 
@@ -266,10 +294,11 @@ def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
     span = orthonormalize(np.array(span_vecs))
 
     def proj(v):
+        # matmul and eigh treat each matrix of a stack as they treat it alone
         X = vec_to_sym(v)
         M = U.T @ X @ U
         w, Q = np.linalg.eigh(M)
-        Mp = (Q * np.maximum(w, 0.0)) @ Q.T
+        Mp = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
         return sym_to_vec(U @ Mp @ U.T)
 
     def member(v, tol=DEFAULT_TOL):
@@ -447,15 +476,10 @@ class ExposednessResult:
 
 def _far_filter(samples: np.ndarray, F: FaceHandle, rel: float = 0.05) -> np.ndarray:
     """Unit-normalize samples and keep those at distance >= rel from the face."""
-    out = []
-    for s in samples:
-        ns = float(np.linalg.norm(s))
-        if ns < 1e-12:
-            continue
-        u = s / ns
-        if np.linalg.norm(u - face_projection(F, u)) >= rel:
-            out.append(u)
-    return np.array(out) if out else np.zeros((0, samples.shape[1]))
+    ns = row_norms(samples)
+    keep = ns >= 1e-12
+    U = samples[keep] / ns[keep, None]
+    return U[row_norms(U - face_projection(F, U)) >= rel]
 
 
 def separation_margin_probe(samples: np.ndarray, v: np.ndarray, exclude_radius: float = 1e-6,
@@ -570,7 +594,7 @@ def _is_exposed_set(K: GallerySet, F: FaceHandle, tol: Tolerance, n_samples: int
         on_face = float(np.max(np.abs(fsamp @ w - c)))
         if on_face <= 1e-7 * max(1.0, abs(c)):
             # margin over samples away from the face
-            dists = np.array([np.linalg.norm(s - face_projection(F, s)) for s in samples])
+            dists = row_norms(samples - face_projection(F, samples))
             far = samples[dists >= 0.05]
             if far.size:
                 margin = float(np.min(c - far @ w))

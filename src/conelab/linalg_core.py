@@ -6,6 +6,7 @@ basis matrices are row-stacked orthonormal vectors.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "sym_to_vec",
     "vec_to_sym",
     "sym_vec_dim",
+    "row_norms",
     "unit_sphere_grid",
 ]
 
@@ -232,41 +234,85 @@ def _unit_ball(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 # Symmetric n x n matrices are stored as the upper triangle read row by row,
 # off-diagonal entries scaled by sqrt(2), so the Euclidean inner product of the
 # vectors equals the Frobenius inner product of the matrices.
+#
+# Both maps work on stacks: sym_to_vec takes (..., n, n) and vec_to_sym takes
+# (..., m), and each matrix or vector of a stack maps to exactly the bits it
+# maps to on its own.
 # ---------------------------------------------------------------------------
 
 _SQRT2 = float(np.sqrt(2.0))
+
+# Relative slack of the symmetry test, the default rtol of np.allclose.
+_SYM_RTOL = 1e-5
 
 
 def sym_vec_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def sym_to_vec(X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    if X.shape != (n, n):
-        raise ValueError("expected a square matrix")
-    if not np.allclose(X, X.T, atol=1e-12 * max(1.0, float(np.abs(X).max(initial=0.0)))):
-        raise ValueError("matrix is not symmetric")
+@functools.lru_cache(maxsize=32)
+def _triangle(n: int):
+    """Row and column indices of the upper triangle of an n x n matrix, and
+    the mask of its off-diagonal entries; read-only, shared by every call."""
     iu, ju = np.triu_indices(n)
-    v = X[iu, ju].copy()
-    v[iu != ju] *= _SQRT2
+    off = iu != ju
+    for a in (iu, ju, off):
+        a.setflags(write=False)
+    return iu, ju, off
+
+
+def _is_symmetric(X: np.ndarray) -> np.ndarray:
+    """Per-matrix verdict of np.allclose(X, X.T, atol=1e-12 * max(1, max|X|)),
+    with each matrix of the stack on its own scale: NaN fails, and an inf
+    passes only opposite an equal inf."""
+    XT = np.swapaxes(X, -1, -2)
+    atol = 1e-12 * np.maximum(1.0, np.abs(X).max(axis=(-2, -1), initial=0.0))
+    with np.errstate(invalid="ignore"):
+        close = np.abs(X - XT) <= atol[..., None, None] + _SYM_RTOL * np.abs(XT)
+        ok = (close & np.isfinite(XT)) | (X == XT)
+    return ok.all(axis=(-2, -1))
+
+
+def sym_to_vec(X: np.ndarray) -> np.ndarray:
+    """Embed a symmetric matrix, or a (..., n, n) stack of them, as
+    (..., n(n+1)/2) vectors. Raises ValueError when any matrix is not
+    symmetric."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
+        raise ValueError("expected a square matrix")
+    if not np.all(_is_symmetric(X)):
+        raise ValueError("matrix is not symmetric")
+    iu, ju, off = _triangle(X.shape[-1])
+    # C order: indexing a stack gives Fortran order, whose strided rows BLAS
+    # kernels would sum in another order than the vector of one matrix
+    v = np.ascontiguousarray(X[..., iu, ju])
+    v[..., off] *= _SQRT2
     return v
 
 
 def vec_to_sym(v: np.ndarray) -> np.ndarray:
+    """Inverse of sym_to_vec over the last axis: (..., m) to (..., n, n)."""
     v = np.asarray(v, dtype=float)
-    m = v.shape[0]
+    m = v.shape[-1]
     n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
     if sym_vec_dim(n) != m:
         raise ValueError(f"length {m} is not a triangular number")
-    X = np.zeros((n, n))
-    iu, ju = np.triu_indices(n)
+    iu, ju, off = _triangle(n)
+    X = np.zeros(v.shape[:-1] + (n, n))
     w = v.copy()
-    w[iu != ju] /= _SQRT2
-    X[iu, ju] = w
-    X[ju, iu] = w
+    w[..., off] /= _SQRT2
+    X[..., iu, ju] = w
+    X[..., ju, iu] = w
     return X
+
+
+def row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis, each bitwise equal to
+    np.linalg.norm of that row alone (a 1 x d by d x 1 matmul is a BLAS dot,
+    as the norm of one vector is; np.linalg.norm(A, axis=-1) sums in another
+    order)."""
+    A = np.ascontiguousarray(A, dtype=float)
+    return np.sqrt((A[..., None, :] @ A[..., :, None])[..., 0, 0])
 
 
 def sym_coord_index(n: int, i: int, j: int) -> int:

@@ -85,6 +85,13 @@ class TestProject:
         assert code == 2
         assert "converge" in err
 
+    @pytest.mark.parametrize("point", ["1,nan,0", "inf,0,1", "1,0,-inf"])
+    def test_nonfinite_point_rejected(self, capsys, soc3, point):
+        code, out, err = _run(capsys, ["project", "--spec", soc3, "--point", point])
+        assert code == 1
+        assert out == ""
+        assert "--point must be finite" in err and "Traceback" not in err
+
     def test_psd_full_matrix_point(self, capsys, tmp_path):
         p = tmp_path / "psd2.json"
         p.write_text('{"type": "psd", "n": 2}\n')
@@ -119,6 +126,34 @@ class TestSpecParsing:
         code, _, err = _run(capsys, ["project", "--spec", str(p), "--point", "1"])
         assert code == 1
         assert "orthant" in err and "gallery" in err
+
+    @pytest.mark.parametrize(
+        "spec, where, key",
+        [
+            ({"type": "orthant"}, "spec", "dim"),
+            ({"type": "psd"}, "spec", "n"),
+            ({"type": "hull", "e": [0, 1]}, "spec", "points"),
+            (
+                {"type": "product", "left": {"type": "soc"},
+                 "right": {"type": "orthant", "dim": 1}},
+                "spec.left",
+                "dim",
+            ),
+            (
+                {"type": "intersection",
+                 "parts": [{"type": "orthant", "dim": 2}, {"type": "subspace"}]},
+                "spec.parts[1]",
+                "basis",
+            ),
+        ],
+    )
+    def test_missing_key_named(self, capsys, tmp_path, spec, where, key):
+        p = tmp_path / "incomplete.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["project", "--spec", str(p), "--point", "1,0"])
+        assert code == 1
+        assert out == ""
+        assert f"{where}: " in err and f"needs the key {key!r}" in err
 
     def test_nested_product_spec(self, capsys, tmp_path):
         p = tmp_path / "prod.json"
@@ -248,6 +283,16 @@ class TestProbes:
         )
         assert code == 1
         assert "radius" in err
+
+    @pytest.mark.parametrize("region", ["1,1,nan,2", "1,1,0,inf"])
+    def test_nonfinite_region_rejected(self, capsys, orthant3, region):
+        code, out, err = _run(
+            capsys,
+            ["probe-blr", "--spec", orthant3, "--face", "1,1,0", "--region", region],
+        )
+        assert code == 1
+        assert out == ""
+        assert "--region must be finite" in err
 
     def test_unresolvable_face_lists_names(self, capsys):
         code, _, err = _run(

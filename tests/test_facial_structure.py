@@ -1,6 +1,9 @@
 """Tests for face handles: minimal faces, conjugates, exposedness, dual sums."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conelab.cone_algebra import (
     NonnegativeOrthant,
@@ -9,9 +12,11 @@ from conelab.cone_algebra import (
     PsdCone,
     SecondOrderCone,
     dual_cone,
+    sample_points,
 )
 from conelab.facial_structure import (
     FaceHandle,
+    _far_filter,
     NotInConeError,
     conjugate_face,
     dual_sum_membership,
@@ -22,7 +27,7 @@ from conelab.facial_structure import (
     minimal_face,
     zero_face,
 )
-from conelab.linalg_core import sym_to_vec
+from conelab.linalg_core import sym_to_vec, vec_to_sym
 
 
 class TestMinimalFace:
@@ -114,6 +119,76 @@ class TestHandleMechanics:
     def test_full_and_zero_dims(self):
         assert full_face(PsdCone(2)).face_dim == 3
         assert zero_face(PsdCone(2)).face_dim == 0
+
+
+def _stack_face(kind: str, seed: int) -> FaceHandle:
+    """A face of the given kind, drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        return zero_face(SecondOrderCone(4))
+    if kind == "orthant":
+        x = rng.gamma(1.0, 1.0, 5) * (rng.random(5) < 0.6)
+        x[0] = 0.0
+        return minimal_face(NonnegativeOrthant(5), x)
+    if kind == "soc_ray":
+        y = rng.standard_normal(4)
+        return minimal_face(SecondOrderCone(5), np.append(y, np.linalg.norm(y)))
+    if kind == "psd_range":
+        A = rng.standard_normal((3, int(rng.integers(1, 3))))
+        return minimal_face(PsdCone(3), sym_to_vec(A @ A.T))
+    # the same orthant face with no projector: Dykstra, one row at a time
+    F = _stack_face("orthant", seed)
+    return FaceHandle(F.parent, F.span_basis, F.membership, descriptor={"kind": "dykstra"})
+
+
+def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
+    """One-point projector formulas of the soc_ray and psd_range faces."""
+    if F.descriptor["kind"] == "soc_ray":
+        g = F.descriptor["generator"]
+        return max(0.0, float(g @ x)) * g
+    U = F.descriptor["range_basis"]
+    w, Q = np.linalg.eigh(U.T @ vec_to_sym(x) @ U)
+    return sym_to_vec(U @ ((Q * np.maximum(w, 0.0)) @ Q.T) @ U.T)
+
+
+class TestStackedProjection:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", "dykstra"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_stack_equals_row_by_row(self, kind, seed, data):
+        F = _stack_face(kind, seed)
+        assert F.descriptor["kind"] == kind
+        X = data.draw(arrays(
+            np.float64, st.tuples(st.integers(0, 6), st.just(F.ambient_dim)),
+            elements=st.floats(-1e6, 1e6, allow_subnormal=False),
+        ))
+        # plus rows whose sums round, which the drawn values rarely need
+        rng = np.random.default_rng(seed)
+        scales = 10.0 ** rng.uniform(-3, 3, (4, 1))
+        X = np.vstack([X, rng.standard_normal((4, F.ambient_dim)) * scales])
+        P = face_projection(F, X)
+        assert P.shape == X.shape
+        assert face_projection(F, X[:0]).shape == (0, F.ambient_dim)
+        rows = [face_projection(F, x) for x in X]
+        assert P.tobytes() == b"".join(r.tobytes() for r in rows)
+        if kind in ("soc_ray", "psd_range"):
+            assert P.tobytes() == b"".join(_reference_projection(F, x).tobytes() for x in X)
+
+    def test_far_filter_matches_point_loop(self):
+        K = PsdCone(3)
+        F = minimal_face(K, sym_to_vec(np.diag([1.0, 1.0, 0.0])))
+        S = np.vstack([np.zeros((1, 6)), sample_points(K, 300, np.random.default_rng(2))])
+        kept = []
+        for s in S:
+            ns = float(np.linalg.norm(s))
+            if ns >= 1e-12 and np.linalg.norm(s / ns - face_projection(F, s / ns)) >= 0.05:
+                kept.append(s / ns)
+        far = _far_filter(S, F)
+        assert 0 < far.shape[0] < S.shape[0] - 1
+        assert far.tobytes() == np.array(kept).tobytes()
 
 
 class TestConjugateFace:

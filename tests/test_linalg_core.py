@@ -1,6 +1,9 @@
 """Tests for tolerances, subspaces, regions, and the symmetric embedding."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conelab.linalg_core import (
     DEFAULT_TOL,
@@ -10,7 +13,10 @@ from conelab.linalg_core import (
     Tolerance,
     complement_basis,
     distance_to_affine,
+    _is_symmetric,
+    _triangle,
     orthonormalize,
+    row_norms,
     sym_coord_index,
     sym_to_vec,
     sym_vec_dim,
@@ -195,6 +201,124 @@ class TestSymmetricEmbedding:
             sym_to_vec(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             vec_to_sym(np.zeros(4))
+
+
+_FINITE = st.floats(-1e150, 1e150, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _symmetric_stacks(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, 4))
+    A = draw(arrays(np.float64, (k, n, n), elements=_FINITE))
+    return A + np.swapaxes(A, -1, -2)
+
+
+def _allclose_verdict(X) -> bool:
+    """The symmetry test sym_to_vec made with np.allclose on one matrix."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.allclose(X, X.T, atol=1e-12 * max(1.0, float(np.abs(X).max(initial=0.0)))))
+
+
+@st.composite
+def _near_symmetric_stacks(draw):
+    """Matrices a relative 0 to 1e-3 away from symmetric, each on its own
+    scale, some with NaN or infinite entries placed symmetrically or not."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    out = np.empty((k, n, n))
+    for m in range(k):
+        scale = draw(st.sampled_from([1e-12, 1e-6, 1.0, 1e6, 1e12]))
+        A = draw(arrays(np.float64, (n, n), elements=unit))
+        E = draw(arrays(np.float64, (n, n), elements=unit))
+        rel = draw(st.sampled_from([0.0, 1e-16, 1e-13, 1e-12, 1e-11, 1e-6, 1e-5, 1e-3]))
+        X = scale * (A + A.T) + (rel * scale) * E
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            X[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            mirror = draw(st.sampled_from(["same", "negated", "finite"]))
+            X[j, i] = {"same": X[i, j], "negated": -X[i, j], "finite": 1.0}[mirror]
+        out[m] = X
+    return out
+
+
+class TestStackedEmbedding:
+    @settings(max_examples=60, deadline=None)
+    @given(_symmetric_stacks())
+    def test_stack_matches_rows_and_round_trips(self, X):
+        V = sym_to_vec(X)
+        assert V.shape == X.shape[:-2] + (sym_vec_dim(X.shape[-1]),)
+        assert V.flags.c_contiguous  # unit-stride rows, as for one matrix
+        rows = [sym_to_vec(x) for x in X]
+        assert V.tobytes() == b"".join(v.tobytes() for v in rows)
+        Y = vec_to_sym(V)
+        assert Y.tobytes() == b"".join(vec_to_sym(v).tobytes() for v in rows)
+        # off-diagonals go through a multiply and a divide by sqrt(2)
+        np.testing.assert_allclose(Y, X, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: arrays(np.float64, st.tuples(st.integers(0, 4), st.just(sym_vec_dim(n))),
+                         elements=_FINITE)))
+    def test_vectors_round_trip(self, V):
+        np.testing.assert_allclose(sym_to_vec(vec_to_sym(V)), V, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_near_symmetric_stacks())
+    def test_symmetry_verdict_is_allclose_per_matrix(self, X):
+        expected = [_allclose_verdict(x) for x in X]
+        assert _is_symmetric(X).tolist() == expected
+        for x, ok in zip(X, expected):
+            if ok:
+                sym_to_vec(x)
+            else:
+                with pytest.raises(ValueError, match="not symmetric"):
+                    sym_to_vec(x)
+        if not all(expected):
+            with pytest.raises(ValueError, match="not symmetric"):
+                sym_to_vec(X)
+
+    @pytest.mark.parametrize(
+        "X, ok",
+        [
+            ([[0.0, np.nan], [np.nan, 0.0]], False),
+            ([[np.nan, 0.0], [0.0, 1.0]], False),
+            ([[np.inf, 1.0], [1.0, 0.0]], True),
+            ([[0.0, np.inf], [np.inf, 0.0]], True),
+            ([[0.0, -np.inf], [-np.inf, 0.0]], True),
+            ([[0.0, np.inf], [-np.inf, 0.0]], False),
+            ([[0.0, np.inf], [5.0, 0.0]], False),
+        ],
+    )
+    def test_nonfinite_entries(self, X, ok):
+        X = np.array(X)
+        assert _allclose_verdict(X) is ok
+        assert _is_symmetric(X) == ok
+
+    def test_scale_is_per_matrix(self):
+        # alone, the first passes on its own 1e-2 slack and the second fails
+        # on its 1e-12 slack; one scale for the stack would pass both
+        huge = np.array([[1e10, 1.0], [1.0 + 1e-3, 1e10]])
+        tiny = np.array([[1e-6, 0.0], [1e-9, 1e-6]])
+        assert [_allclose_verdict(huge), _allclose_verdict(tiny)] == [True, False]
+        assert _is_symmetric(np.stack([huge, tiny])).tolist() == [True, False]
+        sym_to_vec(huge)
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_to_vec(np.stack([huge, tiny]))
+
+    def test_layout_is_cached_read_only(self):
+        assert _triangle(3) is _triangle(3)
+        assert not any(a.flags.writeable for a in _triangle(3))
+        v = sym_to_vec(np.eye(3))
+        v[0] = 7.0  # the caller owns the result; the cached layout is untouched
+        assert sym_to_vec(np.eye(3))[0] == 1.0
+
+    def test_row_norms_match_single_norms(self):
+        A = np.random.default_rng(3).standard_normal((200, 7)) * 10.0 ** np.arange(-3, 4)
+        expected = [float(np.linalg.norm(a)) for a in A]
+        assert row_norms(A).tolist() == expected
+        assert row_norms(np.asfortranarray(A)).tolist() == expected
 
 
 class TestUnitSphereGrid:
