@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -208,6 +209,41 @@ def _key(obj: dict, key: str, where: str):
         ) from None
 
 
+def _number(obj: dict, key: str, where: str, default=None, *, integer=False, positive=False):
+    """obj[key] as a finite number (the default when the key is absent and a
+    default is given), or an input error naming the key and where it is.
+    integer asks for a whole number, positive for a value above zero."""
+    val = _key(obj, key, where) if default is None else obj.get(key, default)
+    ok = isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val)
+    if ok and integer:
+        ok = float(val).is_integer()
+    if ok and positive:
+        ok = val > 0
+    if not ok:
+        want = "a positive " if positive else "a "
+        want += "whole number" if integer else "finite number"
+        raise CliInputError(
+            f"{where}: the key {key!r} of a {obj['type']!r} spec must be {want}, got {val!r}"
+        )
+    return int(val) if integer else float(val)
+
+
+def _vector(obj: dict, key: str, where: str):
+    """obj[key] as a 1-d array of finite numbers, or an input error naming the key."""
+    import numpy as np
+
+    val = _key(obj, key, where)
+    try:
+        v = np.array(val, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+        raise CliInputError(
+            f"{where}: the key {key!r} of a {obj['type']!r} spec must be a list of finite numbers"
+        )
+    return v
+
+
 def _cone_from_obj(obj, where: str = "spec"):
     from . import cone_algebra as CA
 
@@ -215,11 +251,11 @@ def _cone_from_obj(obj, where: str = "spec"):
         raise CliInputError(f'{where}: cone specs are objects with a "type" tag')
     kind = obj["type"]
     if kind == "orthant":
-        return CA.NonnegativeOrthant(int(_key(obj, "dim", where)))
+        return CA.NonnegativeOrthant(_number(obj, "dim", where, integer=True, positive=True))
     if kind == "soc":
-        return CA.SecondOrderCone(int(_key(obj, "dim", where)))
+        return CA.SecondOrderCone(_number(obj, "dim", where, integer=True, positive=True))
     if kind == "psd":
-        return CA.PsdCone(int(_key(obj, "n", where)))
+        return CA.PsdCone(_number(obj, "n", where, integer=True, positive=True))
     if kind == "polyhedral":
         if "inequalities" in obj:
             return CA.PolyhedralCone(_matrix(obj["inequalities"], where))
@@ -227,12 +263,7 @@ def _cone_from_obj(obj, where: str = "spec"):
             return CA.PolyhedralCone(generators=_matrix(obj["generators"], where))
         raise CliInputError(f"{where}: polyhedral needs inequalities or generators")
     if kind == "halfspace":
-        import numpy as np
-
-        return CA.Halfspace(
-            np.array(_key(obj, "normal", where), dtype=float),
-            float(obj.get("offset", 0.0)),
-        )
+        return CA.Halfspace(_vector(obj, "normal", where), _number(obj, "offset", where, 0.0))
     if kind == "subspace":
         return CA.LinearSubspace(_matrix(_key(obj, "basis", where), where))
     if kind == "product":
@@ -252,20 +283,15 @@ def _cone_from_obj(obj, where: str = "spec"):
             _cone_from_obj(_key(obj, "inner", where), where + ".inner"),
         )
     if kind == "hull":
-        import numpy as np
-
         pts = _matrix(_key(obj, "points", where), where)
-        e = np.array(_key(obj, "e", where), dtype=float)
+        e = _vector(obj, "e", where)
         if pts.shape[1] != e.shape[0]:
             raise CliInputError(f"{where}: hull points and e disagree on dimension")
-        return CA.ConicHull(
-            CA.SliceSpec(
-                e=e, sampler=lambda n: pts, level=float(obj.get("level", 1.0))
-            )
-        )
+        level = _number(obj, "level", where, 1.0, positive=True)
+        return CA.ConicHull(CA.SliceSpec(e=e, sampler=lambda n: pts, level=level))
     if kind == "gallery":
         name = obj.get("name")
-        density = int(obj.get("density", 2048))
+        density = _number(obj, "density", where, 2048, integer=True, positive=True)
         return _gallery_cone(name, density, where)
     known = (
         "orthant, soc, psd, polyhedral, halfspace, subspace, product, "

@@ -34,7 +34,9 @@ from .linalg_core import (
     AffineSubspace,
     Tolerance,
     complement_basis,
+    norm_scale,
     orthonormalize,
+    row_dots,
     row_norms,
     sym_to_vec,
     vec_to_sym,
@@ -52,6 +54,7 @@ __all__ = [
     "dual_sum_membership",
     "DualSumResult",
     "face_projection",
+    "face_contains",
     "face_samples",
     "NotInConeError",
 ]
@@ -70,9 +73,12 @@ class FaceHandle:
     faces, which also set affine_basepoint). descriptor holds variant-specific
     data and optional closures used by the probes.
 
-    membership takes one point. exact_projector takes one point; for the
-    closed-form kinds ("zero", "orthant", "soc_ray", "psd_range") it also maps
+    membership and exact_projector take one point. For the closed-form kinds
+    ("zero", "orthant", "soc_ray", "psd_range") the exact projector also maps
     a (..., d) stack to (..., d), each row to exactly the bits it gets alone.
+    For those four kinds and the gallery's "seam_ray" and "seam_edge" the
+    membership also maps a (..., d) stack to (...,) verdicts, each row to the
+    verdict it gets alone; face_contains uses it. contains returns one bool.
     """
 
     parent: ConeSpec
@@ -107,6 +113,22 @@ class FaceHandle:
 
 # Face kinds whose exact projector is closed-form and maps stacks to stacks.
 _STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range"})
+# Face kinds whose membership maps a stack to one verdict per row.
+_STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam_ray", "seam_edge"}
+
+
+def face_contains(F: FaceHandle, X, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Membership verdicts for an (n, d) stack of points, one bool per row.
+
+    The stacked kinds of FaceHandle ("zero", "orthant", "soc_ray",
+    "psd_range", "seam_ray", "seam_edge") decide the whole stack in one
+    membership call; every other kind goes row by row through F.contains.
+    Either way each verdict equals F.contains of that row alone.
+    """
+    X = np.asarray(X, dtype=float)
+    if F.descriptor.get("kind") in _STACKED_MEMBERSHIP:
+        return np.asarray(F.membership(X, tol), dtype=bool)
+    return np.array([F.contains(x, tol) for x in X], dtype=bool)
 
 
 def face_projection(F: FaceHandle, x) -> np.ndarray:
@@ -114,9 +136,12 @@ def face_projection(F: FaceHandle, x) -> np.ndarray:
 
     The exact projector is preferred; without one, Dykstra runs over the
     parent cone and the face's span (they intersect in F). A stack goes to
-    the projector in one call for the closed-form kinds of FaceHandle and
-    one row at a time otherwise; either way each row of the result is
-    bitwise the projection of that row alone.
+    the projector in one call for the closed-form kinds ("zero", "orthant",
+    "soc_ray", "psd_range") and one row at a time otherwise; either way each
+    row of the result is bitwise the projection of that row alone.
+    face_contains decides membership of a stack the same way: in one call
+    for those four kinds and the gallery's "seam_ray" and "seam_edge", row
+    by row otherwise, each verdict the one the row gets alone.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -239,7 +264,7 @@ def zero_face(K: ConeSpec) -> FaceHandle:
     return FaceHandle(
         parent=K,
         span_basis=np.zeros((0, d)),
-        membership=lambda v, tol=DEFAULT_TOL: bool(np.linalg.norm(v) <= tol.margin(1.0)),
+        membership=lambda v, tol=DEFAULT_TOL: row_norms(v) <= tol.margin(1.0),
         exact_projector=lambda v: np.zeros(np.shape(v)),
         descriptor={"kind": "zero"},
     )
@@ -252,9 +277,11 @@ def _orthant_face(K: NonnegativeOrthant, zeros: tuple) -> FaceHandle:
     zset = np.array(sorted(zeros), dtype=int)
 
     def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        ok = np.all(v >= -e)
-        return bool(ok and (zset.size == 0 or np.all(np.abs(v[zset]) <= e)))
+        e = tol.margin(norm_scale(v))[..., None]
+        ok = np.all(v >= -e, axis=-1)
+        if zset.size:
+            ok = ok & np.all(np.abs(v[..., zset]) <= e, axis=-1)
+        return ok
 
     def proj(v):
         p = np.maximum(v, 0.0)
@@ -271,13 +298,13 @@ def _soc_ray_face(K: SecondOrderCone, g: np.ndarray) -> FaceHandle:
     g = g / np.linalg.norm(g)
 
     def member(v, tol=DEFAULT_TOL):
-        c = float(g @ v)
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        return bool(c >= -e and np.linalg.norm(v - c * g) <= e)
+        c = row_dots(v, g)
+        e = tol.margin(norm_scale(v))
+        return (c >= -e) & (row_norms(v - c[..., None] * g) <= e)
 
     def proj(v):
-        # a BLAS dot per row, as g @ v is for one point; NaN and -0.0 clip to 0.0
-        c = (v[..., None, :] @ g)[..., 0]
+        # NaN and -0.0 clip to 0.0
+        c = row_dots(v, g)
         return np.where(c > 0.0, c, 0.0)[..., None] * g
 
     return FaceHandle(K, g[None, :].copy(), member, proj, {"kind": "soc_ray", "generator": g.copy()})
@@ -302,8 +329,12 @@ def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
         return sym_to_vec(U @ Mp @ U.T)
 
     def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        return bool(np.linalg.norm(v - proj(v)) <= e)
+        # a non-finite point is in no face (its eigen projection is not defined)
+        finite = np.all(np.isfinite(v), axis=-1)
+        out = np.zeros(finite.shape, dtype=bool)
+        w = v[finite]
+        out[finite] = row_norms(w - proj(w)) <= tol.margin(norm_scale(w))
+        return out
 
     return FaceHandle(K, span, member, proj, {"kind": "psd_range", "range_basis": U.copy()})
 

@@ -50,7 +50,7 @@ from .cone_algebra import (
     SliceSpec,
 )
 from .facial_structure import DualSumResult, FaceHandle
-from .linalg_core import DEFAULT_TOL, Tolerance, orthonormalize
+from .linalg_core import DEFAULT_TOL, Tolerance, norm_scale, orthonormalize, row_dots, row_norms
 from .projection_engine import (
     ProjectionResult,
     dykstra_projectors,
@@ -941,15 +941,13 @@ def seam_face(K_tilde: GallerySet) -> FaceHandle:
     span = orthonormalize(np.vstack([gen_top, gen_bottom]))
 
     def member(x, tol=DEFAULT_TOL):
+        # one point or a (..., 4) stack; coordinates in the generator pair
         x = np.asarray(x, dtype=float)
-        # coordinates in the generator pair
-        a = (x[3] + x[2]) / 2.0
-        b = (x[3] - x[2]) / 2.0
-        rebuilt = a * gen_top + b * gen_bottom
-        eps = 1e-9 * max(1.0, float(np.linalg.norm(x)))
-        return bool(
-            a >= -eps and b >= -eps and np.linalg.norm(rebuilt - x) <= eps
-        )
+        a = (x[..., 3] + x[..., 2]) / 2.0
+        b = (x[..., 3] - x[..., 2]) / 2.0
+        rebuilt = a[..., None] * gen_top + b[..., None] * gen_bottom
+        eps = 1e-9 * norm_scale(x)
+        return (a >= -eps) & (b >= -eps) & (row_norms(rebuilt - x) <= eps)
 
     def projector(x):
         x = np.asarray(x, dtype=float)
@@ -1030,10 +1028,11 @@ def seam_ray_faces(K_tilde: GallerySet) -> tuple:
         unit = gen / np.linalg.norm(gen)
 
         def member(x, tol=DEFAULT_TOL, unit=unit):
+            # one point or a (..., 4) stack
             x = np.asarray(x, dtype=float)
-            coef = float(unit @ x)
-            eps = 1e-9 * max(1.0, float(np.linalg.norm(x)))
-            return bool(coef >= -eps and np.linalg.norm(coef * unit - x) <= eps)
+            coef = row_dots(x, unit)
+            eps = 1e-9 * norm_scale(x)
+            return (coef >= -eps) & (row_norms(coef[..., None] * unit - x) <= eps)
 
         def projector(x, unit=unit):
             coef = max(float(unit @ np.asarray(x, dtype=float)), 0.0)

@@ -22,6 +22,8 @@ __all__ = [
     "vec_to_sym",
     "sym_vec_dim",
     "row_norms",
+    "row_dots",
+    "norm_scale",
     "unit_sphere_grid",
 ]
 
@@ -40,14 +42,8 @@ class Tolerance:
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
 
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= self.abs_tol + self.rel_tol * max(abs(a), abs(b))
-
     def is_zero(self, x: float, scale: float = 0.0) -> bool:
         return abs(x) <= self.abs_tol + self.rel_tol * abs(scale)
-
-    def leq(self, a: float, b: float, scale: float = 0.0) -> bool:
-        return a <= b + self.abs_tol + self.rel_tol * max(abs(scale), abs(b))
 
     def margin(self, scale: float = 0.0) -> float:
         return self.abs_tol + self.rel_tol * abs(scale)
@@ -137,11 +133,6 @@ class AffineSubspace:
     def from_spanning(cls, basepoint, vectors) -> "AffineSubspace":
         basepoint = np.asarray(basepoint, dtype=float)
         return cls(basepoint, orthonormalize(vectors))
-
-    @classmethod
-    def span(cls, vectors) -> "AffineSubspace":
-        basis = orthonormalize(vectors)
-        return cls(np.zeros(basis.shape[1]), basis)
 
     @property
     def ambient_dim(self) -> int:
@@ -315,11 +306,18 @@ def row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[..., None, :] @ A[..., :, None])[..., 0, 0])
 
 
-def sym_coord_index(n: int, i: int, j: int) -> int:
-    """Index of entry (i, j), i <= j, in the sym_to_vec layout."""
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i - 1) // 2 + (j - i)
+def row_dots(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Inner products <row, g> over the last axis, each bitwise equal to
+    g @ row for that row alone (a 1 x d by d matmul is a BLAS dot)."""
+    A = np.ascontiguousarray(A, dtype=float)
+    return (A[..., None, :] @ g)[..., 0]
+
+
+def norm_scale(A: np.ndarray) -> np.ndarray:
+    """max(1, ||row||) over the last axis, as Python's max(1.0, norm) gives it
+    for one row: 1.0 for a NaN norm, where np.maximum would give NaN."""
+    n = row_norms(A)
+    return np.where(n > 1.0, n, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .facial_structure import (
     FaceHandle,
     cone_span_dim,
     conjugate_face,
+    face_contains,
     face_projection,
     face_samples,
     is_exposed,
@@ -147,10 +148,7 @@ def _certification_counts(
     idem = float(np.linalg.norm(P @ P - P))
     X = sample_points(K, n_samples, rng)
     images = X @ P.T
-    violations = 0
-    for img in images:
-        if not F.contains(img):
-            violations += 1
+    violations = int(np.count_nonzero(~face_contains(F, images)))
     if ray_dual is not None:
         norms = np.linalg.norm(X, axis=1)
         coefs = X @ ray_dual

@@ -134,7 +134,8 @@ def project_scaled_soc(x: np.ndarray, slope: float) -> np.ndarray:
 MEMBER_SNAP = 16.0 * np.finfo(float).eps
 
 # Certificate tolerance of the finite kernels: the hull kernel's Frank-Wolfe
-# gap must reach GAP_TOL, the generator kernel's KKT gap GAP_TOL * max(1, ||x||).
+# gap must reach GAP_TOL; each term of a conic KKT gap must reach GAP_TOL
+# times its own scale (see _kkt_certified).
 GAP_TOL = 1e-10
 # Iteration cap of the hull kernel's Wolfe loop.
 HULL_MAX_ITER = 20000
@@ -150,14 +151,23 @@ def _snap_member(x: np.ndarray, p: np.ndarray, gap: float):
     return p, gap
 
 
+def _kkt_certified(dual: float, comp: float, scale: float) -> bool:
+    """Whether the two terms of a conic KKT gap are within tolerance, each on
+    its own scale s = max(1, ||x||): the dual-feasibility term is linear in x
+    and must reach GAP_TOL * s, the complementarity term <p, x - p> is
+    quadratic in x and must reach GAP_TOL * s^2. False for a NaN term."""
+    s = max(1.0, scale)
+    return dual <= GAP_TOL * s and comp <= GAP_TOL * s * s
+
+
 def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     """Exact projection onto cone{rows of generators}.
 
     One Lawson-Hanson nonnegative least-squares solve, min ||G^T lam - x||
     over lam >= 0, certified by the KKT gap max(0, max_i <g_i, x - p>) +
     |<lam, G (x - p)>| with p = G^T lam. Returns (point, weights, kkt_gap).
-    Raises NonConvergenceError when the solve hits its iteration cap or the
-    gap exceeds GAP_TOL * max(1, ||x||).
+    Raises NonConvergenceError when the solve hits its iteration cap or a
+    term of the gap is above tolerance (see _kkt_certified).
 
     A member comes back unchanged: when p reproduces x to rounding level
     (see _snap_member) a copy of x is returned and ||x - p|| is added to the
@@ -174,8 +184,10 @@ def project_conic_generators(generators: np.ndarray, x: np.ndarray):
         raise NonConvergenceError("nnls hit its iteration cap", max_iter, float("nan")) from None
     p = G.T @ lam
     pair = G @ (x - p)
-    gap = float(max(0.0, pair.max())) + abs(float(lam @ pair))
-    if not gap <= GAP_TOL * max(1.0, float(np.linalg.norm(x))):  # also catches a NaN gap
+    dual = float(max(0.0, pair.max()))
+    comp = abs(float(lam @ pair))
+    gap = dual + comp
+    if not _kkt_certified(dual, comp, float(np.linalg.norm(x))):
         raise NonConvergenceError("nnls KKT gap above tolerance", 0, gap)
     p, gap = _snap_member(x, p, gap)
     return p, lam, gap
@@ -272,13 +284,16 @@ def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> 
         # distance accounts for the component of x off the column span
         return _result(x, p, inner.method, inner.iterations, gap)
     # general full-column-rank map: accelerated projected gradient on
-    # min_z ||A z - x||^2 over z in inner; tagged with the QP family label.
+    # min_z ||A z - x||^2 over z in inner, tagged with the QP family label.
+    # The answer is certified by the KKT gap of the gradient g = A^T (A z - x):
+    # its distance to the inner cone's dual, which is ||P_inner(-g)|| by
+    # Moreau, plus |<g, z>|; the first term is compared in image units.
     L = float(np.linalg.norm(A, 2) ** 2)
     z = np.linalg.lstsq(A, x, rcond=None)[0]
     z = project(K.inner, z, tol).point
     zp = z.copy()
     t_acc = 1.0
-    last = None
+    gap = float("inf")
     max_iter = 5000
     for it in range(1, max_iter + 1):
         y = z + ((t_acc - 1) / (t_acc + 2)) * (z - zp)
@@ -286,14 +301,18 @@ def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> 
         znew = project(K.inner, y - g / L, tol).point
         zp, z = z, znew
         t_acc += 1.0
-        step = float(np.linalg.norm(z - zp))
-        scale = max(1.0, float(np.linalg.norm(z)))
-        if step <= 1e-12 * scale:
-            last = step
-            break
-        last = step
-    p = A @ z
-    return ProjectionResult(p, float(np.linalg.norm(x - p)), "hull_qp", it, float(last or 0.0))
+        if float(np.linalg.norm(z - zp)) <= 1e-12 * max(1.0, float(np.linalg.norm(z))):
+            p = A @ z
+            g = A.T @ (p - x)
+            dual = float(np.linalg.norm(project(K.inner, -g, tol).point))
+            comp = abs(float(g @ z))
+            gap = dual + comp
+            if _kkt_certified(dual / np.sqrt(L), comp, float(np.linalg.norm(x))):
+                break
+    else:
+        raise NonConvergenceError("linear-image projection KKT gap above tolerance", max_iter, gap)
+    p, gap = _snap_member(x, p, gap)
+    return _result(x, p, "hull_qp", it, gap)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,25 @@ class TestProject:
         assert "symmetric" in err
 
 
+# every numeric key of every spec type, inside an otherwise valid spec
+_NUMERIC_KEYS = [
+    ({"type": "orthant", "dim": 3}, "dim"),
+    ({"type": "soc", "dim": 3}, "dim"),
+    ({"type": "psd", "n": 2}, "n"),
+    ({"type": "halfspace", "normal": [1, 0, 0], "offset": 0.0}, "offset"),
+    ({"type": "hull", "points": [[0, 0, 1], [1, 0, 1]], "e": [0, 0, 1], "level": 1.0}, "level"),
+    ({"type": "gallery", "name": "nice_not_amenable_C", "density": 64}, "density"),
+]
+# null, string, list, negative, fractional and NaN values; any finite offset
+# is a valid halfspace, and a slice level need not be whole
+_MALFORMED_NUMBERS = [
+    (spec, key, bad)
+    for spec, key in _NUMERIC_KEYS
+    for bad in (None, "3", [3], -1, 2.5, float("nan"))
+    if not (key == "offset" and bad in (-1, 2.5)) and not (key == "level" and bad == 2.5)
+]
+
+
 class TestSpecParsing:
     def test_gallery_name_accepted_directly(self, capsys):
         code, out, _ = _run(
@@ -154,6 +173,47 @@ class TestSpecParsing:
         assert code == 1
         assert out == ""
         assert f"{where}: " in err and f"needs the key {key!r}" in err
+
+    @pytest.mark.parametrize("spec, key, bad", _MALFORMED_NUMBERS)
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_malformed_numeric_key(self, capsys, tmp_path, spec, key, bad, nested):
+        spec = dict(spec, **{key: bad})
+        where = "spec"
+        if nested:
+            spec = {"type": "product", "left": {"type": "orthant", "dim": 1}, "right": spec}
+            where = "spec.right"
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["project", "--spec", str(p), "--point", "1,0,0"])
+        assert code == 1
+        assert out == ""
+        assert f"{where}: the key {key!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"type": "halfspace", "normal": None}, "normal"),
+            ({"type": "halfspace", "normal": ["a", "b"]}, "normal"),
+            ({"type": "halfspace", "normal": []}, "normal"),
+            ({"type": "hull", "points": [[0, 1], [1, 1]], "e": 1}, "e"),
+            ({"type": "hull", "points": [[0, 1], [1, 1]], "e": [[0, 1]]}, "e"),
+        ],
+    )
+    def test_malformed_vector_key(self, capsys, tmp_path, spec, key):
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = _run(capsys, ["project", "--spec", str(p), "--point", "1,0"])
+        assert code == 1
+        assert out == ""
+        assert f"spec: the key {key!r}" in err
+
+    def test_whole_float_dimension_accepted(self, capsys, tmp_path):
+        p = tmp_path / "orthant.json"
+        p.write_text('{"type": "orthant", "dim": 3.0}')
+        code, out, _ = _run(capsys, ["project", "--spec", str(p), "--point", "1,-1,0"])
+        assert code == 0
+        assert _result(out)["point"] == [1, 0, 0]
 
     def test_nested_product_spec(self, capsys, tmp_path):
         p = tmp_path / "prod.json"

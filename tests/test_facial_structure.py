@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conelab import gallery
 from conelab.cone_algebra import (
     NonnegativeOrthant,
     PolyhedralCone,
@@ -20,6 +21,7 @@ from conelab.facial_structure import (
     NotInConeError,
     conjugate_face,
     dual_sum_membership,
+    face_contains,
     face_projection,
     face_samples,
     full_face,
@@ -27,7 +29,7 @@ from conelab.facial_structure import (
     minimal_face,
     zero_face,
 )
-from conelab.linalg_core import sym_to_vec, vec_to_sym
+from conelab.linalg_core import DEFAULT_TOL, sym_to_vec, vec_to_sym
 
 
 class TestMinimalFace:
@@ -136,9 +138,14 @@ def _stack_face(kind: str, seed: int) -> FaceHandle:
     if kind == "psd_range":
         A = rng.standard_normal((3, int(rng.integers(1, 3))))
         return minimal_face(PsdCone(3), sym_to_vec(A @ A.T))
-    # the same orthant face with no projector: Dykstra, one row at a time
-    F = _stack_face("orthant", seed)
-    return FaceHandle(F.parent, F.span_basis, F.membership, descriptor={"kind": "dykstra"})
+    if kind == "poly_gens":
+        # a generator face: one nnls solve per row
+        G = np.abs(rng.standard_normal((5, 4))) + 0.1
+        return minimal_face(PolyhedralCone(generators=G), G[0] + G[1])
+    hull = gallery.cylinder_hull_objects().hull
+    if kind == "seam_ray":
+        return gallery.seam_ray_faces(hull)[seed % 2]
+    return gallery.seam_face(hull)
 
 
 def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
@@ -154,7 +161,7 @@ def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
 class TestStackedProjection:
     @settings(max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", "dykstra"]),
+        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", "poly_gens"]),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
@@ -189,6 +196,88 @@ class TestStackedProjection:
         far = _far_filter(S, F)
         assert 0 < far.shape[0] < S.shape[0] - 1
         assert far.tobytes() == np.array(kept).tobytes()
+
+
+def _reference_membership(F: FaceHandle, x: np.ndarray, tol=DEFAULT_TOL) -> bool:
+    """One-point membership formulas of the stacked kinds, with Python's max
+    and np.linalg.norm."""
+    kind = F.descriptor["kind"]
+    scale = max(1.0, float(np.linalg.norm(x)))
+    if kind == "zero":
+        return bool(np.linalg.norm(x) <= tol.margin(1.0))
+    if kind == "orthant":
+        e = tol.margin(scale)
+        zeros = list(F.descriptor["zeros"])
+        return bool(np.all(x >= -e) and np.all(np.abs(x[zeros]) <= e))
+    if kind == "soc_ray":
+        g = F.descriptor["generator"]
+        c = float(g @ x)
+        e = tol.margin(scale)
+        return bool(c >= -e and np.linalg.norm(x - c * g) <= e)
+    if kind == "psd_range":
+        return bool(np.linalg.norm(x - _reference_projection(F, x)) <= tol.margin(scale))
+    if kind == "seam_ray":
+        unit = F.span_basis[0]
+        c = float(unit @ x)
+        return bool(c >= -1e-9 * scale and np.linalg.norm(c * unit - x) <= 1e-9 * scale)
+    top, bottom = F.descriptor["generators"]
+    a, b = (x[3] + x[2]) / 2.0, (x[3] - x[2]) / 2.0
+    eps = 1e-9 * scale
+    return bool(a >= -eps and b >= -eps and np.linalg.norm(a * top + b * bottom - x) <= eps)
+
+
+_MEMBER_KINDS = ["zero", "orthant", "soc_ray", "psd_range", "seam_ray", "seam_edge"]
+
+
+def _membership_rows(F: FaceHandle, seed: int) -> np.ndarray:
+    """On-face rows, the same rows moved by 1e-9 to 1e-7 across the
+    tolerance, Gaussian rows over six decades, and NaN/inf rows."""
+    rng = np.random.default_rng(seed)
+    d = F.ambient_dim
+    on = face_samples(F, 12, rng) * 10.0 ** rng.uniform(-2, 3, (12, 1))
+    on[0] = 0.0
+    size = rng.choice([-1.0, 1.0], (24, 1)) * 10.0 ** rng.uniform(-9, -7, (24, 1))
+    moved = np.vstack([on, on]) + size * np.vstack([
+        rng.standard_normal((12, d)),
+        np.eye(d)[rng.integers(0, d, 12)],  # along one coordinate
+    ])
+    gauss = rng.standard_normal((8, d)) * 10.0 ** rng.uniform(-3, 3, (8, 1))
+    bad = np.vstack([on[:6], gauss[:3]])
+    bad[np.arange(9), rng.integers(0, d, 9)] = [np.nan, np.inf, -np.inf] * 3
+    return np.vstack([on, moved, gauss, bad, np.full((1, d), np.nan)])
+
+
+class TestStackedMembership:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(_MEMBER_KINDS + ["poly_gens"]), seed=st.integers(0, 2**32 - 1))
+    def test_stack_equals_row_by_row(self, kind, seed):
+        F = _stack_face(kind, seed)
+        assert F.descriptor["kind"] == kind
+        X = _membership_rows(F, seed)
+        if kind == "poly_gens":
+            X = X[np.all(np.isfinite(X), axis=1)]  # nnls rejects non-finite points
+        with np.errstate(all="ignore"):
+            got = face_contains(F, X)
+            rows = [F.contains(x) for x in X]
+            assert got.dtype == bool and got.shape == (X.shape[0],)
+            assert got.tolist() == rows
+            assert face_contains(F, np.asfortranarray(X)).tolist() == rows
+            assert face_contains(F, X[:0]).shape == (0,)
+            if kind == "poly_gens":
+                return
+            finite = np.all(np.isfinite(X), axis=1)
+            for x, verdict, ok in zip(X, rows, finite):
+                if ok or kind != "psd_range":
+                    assert verdict == _reference_membership(F, x)
+                else:
+                    assert not verdict  # the eigen projection of x is not defined
+        # the rows straddle the tolerance: both verdicts occur among the moved rows
+        assert 0 < sum(rows[12:36]) < 24 or kind == "zero"
+
+    def test_contains_returns_bool(self):
+        for kind in _MEMBER_KINDS:
+            F = _stack_face(kind, 5)
+            assert type(F.contains(face_samples(F, 1, np.random.default_rng(0))[0])) is bool
 
 
 class TestConjugateFace:

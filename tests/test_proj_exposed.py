@@ -13,12 +13,13 @@ import pytest
 from conelab import cone_algebra as CA
 from conelab import gallery
 from conelab.amenability_probe import ErrorBoundEstimate
-from conelab.facial_structure import FaceHandle, minimal_face
-from conelab.linalg_core import BoundedRegion, orthonormalize, sym_to_vec, vec_to_sym
+from conelab.facial_structure import FaceHandle, face_samples, minimal_face
+from conelab.linalg_core import BoundedRegion, orthonormalize, row_norms, sym_to_vec, vec_to_sym
 from conelab.projection_engine import project_conic_generators
 from conelab.proj_exposed import (
     Codim1ConsistencyReport,
     NotSeparableError,
+    _certification_counts,
     ProjectionMap,
     SungTamResult,
     build_rank_one_projection,
@@ -287,6 +288,65 @@ class TestCertifyProjection:
         F = gallery.seam_face(cylinder.hull)
         with pytest.raises(ValueError, match="square"):
             certify_projection(np.ones((2, 3)), cylinder.hull, F)
+
+
+def _looped_certification_counts(P, K, F, n_samples, seed):
+    """The certification with one F.contains call per sampled image."""
+    rng = np.random.default_rng(seed)
+    idem = float(np.linalg.norm(P @ P - P))
+    X = CA.sample_points(K, n_samples, rng)
+    violations = sum(1 for img in X @ P.T if not F.contains(img))
+    fixed = face_samples(F, min(512, n_samples), rng)
+    moved = row_norms((P @ fixed[:, :, None])[:, :, 0] - fixed)
+    violations += int(np.count_nonzero(moved > 1e-8 * (1.0 + row_norms(fixed))))
+    return idem, violations, len(X) + len(fixed)
+
+
+def _dim4_retractions():
+    """The six retractions of the projections_dim4 check: (label, K, F, P)."""
+    hull = gallery.cylinder_hull_objects().hull
+    orthant, psd = CA.NonnegativeOrthant(3), CA.PsdCone(2)
+    rank_one = (
+        ("orthant_ray", orthant, minimal_face(orthant, np.array([1.0, 0.0, 0.0]))),
+        ("psd_ray", psd, minimal_face(psd, sym_to_vec(np.diag([1.0, 0.0])))),
+        ("cylinder_seam_ray", hull, gallery.seam_ray_faces(hull)[0]),
+    )
+    rank_two = (
+        ("orthant_face", orthant, minimal_face(orthant, np.array([1.0, 1.0, 0.0]))),
+        ("psd_diagonal", psd, diagonal_psd_face(psd)),
+        ("cylinder_seam_face", hull, gallery.seam_face(hull)),
+    )
+    return [
+        (label, K, F, build_rank_one_projection(K, F, n_samples=50).matrix)
+        for label, K, F in rank_one
+    ] + [
+        (label, K, F, build_rank_two_projection(K, F, n_samples=50).matrix)
+        for label, K, F in rank_two
+    ]
+
+
+class TestStackedCertification:
+    @pytest.fixture(scope="class")
+    def retractions(self):
+        return _dim4_retractions()
+
+    def test_counts_equal_the_contains_loop(self, retractions):
+        kinds = set()
+        for label, K, F, P in retractions:
+            kinds.add(F.descriptor["kind"])
+            counts = _certification_counts(P, K, F, 1000, 11)
+            assert counts == _looped_certification_counts(P, K, F, 1000, 11), label
+            assert counts[1] == 0, label
+        # the stacked kinds and the row-by-row fallback all take part
+        assert kinds == {"orthant", "psd_range", "seam_ray", "seam_edge", "diagonal_psd"}
+
+    def test_wrong_map_violations_equal_the_contains_loop(self, retractions):
+        for label, K, F, P in retractions:
+            # the identity keeps every sampled cone point, most of them off the face
+            for wrong in (np.eye(P.shape[0]), P + 1e-6 * np.eye(P.shape[0])):
+                counts = _certification_counts(wrong, K, F, 1000, 11)
+                assert counts == _looped_certification_counts(wrong, K, F, 1000, 11), label
+                assert counts[1] > 0, label
 
 
 class TestExtremeRaySamples:

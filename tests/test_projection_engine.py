@@ -18,6 +18,7 @@ from conelab.cone_algebra import (
     SecondOrderCone,
     SliceSpec,
 )
+from conelab.facial_structure import face_projection, minimal_face
 from conelab.linalg_core import sym_to_vec, vec_to_sym
 from conelab.projection_engine import (
     NonConvergenceError,
@@ -384,6 +385,47 @@ class TestCertifiedOrRaise:
         )
         with pytest.raises(NonConvergenceError, match="iteration cap"):
             project_conic_generators(PYRAMID, np.array([3.0, 1.0, 0.5]))
+
+    def test_large_point_gap_on_its_own_scale(self):
+        # the complementarity term <p, x - p> rounds like eps ||x||^2: 1.63e-4
+        # here, above GAP_TOL * ||x|| = 1.46e-4 but far inside GAP_TOL * ||x||^2
+        G = np.abs(np.random.default_rng(0).standard_normal((5, 4))) + 0.1
+        F = minimal_face(PolyhedralCone(generators=G), G[0] + G[1])
+        assert F.descriptor["kind"] == "poly_gens"
+        x = 728495.0 * np.ones(4)
+        p, lam, gap = project_conic_generators(F.descriptor["generators"], x)
+        assert gap > 1e-10 * np.linalg.norm(x)
+        assert face_projection(F, x).tobytes() == p.tobytes()
+        # p is the projection: x - p is normal to the face cone at p
+        GJ = F.descriptor["generators"]
+        assert np.all(GJ @ (x - p) <= 1e-10 * np.linalg.norm(x))
+        assert abs(p @ (x - p)) <= 1e-10 * np.linalg.norm(x) ** 2
+
+    def test_linear_image_uncertified_raises(self):
+        # nearly parallel columns: the step test fires at z = (0, 3e7), whose
+        # image (3, 3, 0) is not the projection (1, 1, 0); its KKT gap is 12
+        A = np.array([[1.0, 1e-7], [0.0, 1e-7], [0.0, 0.0]])
+        K = LinearImageCone(matrix=A, inner=NonnegativeOrthant(2))
+        with pytest.raises(NonConvergenceError, match="KKT gap") as info:
+            project(K, np.array([-1.0, 3.0, 1.0]))
+        assert info.value.iterations == 5000
+        assert info.value.residual == pytest.approx(12.0, rel=1e-6)
+
+    def test_linear_image_general_branch_certified(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((4, 3))
+        K = LinearImageCone(matrix=A, inner=SecondOrderCone(3))
+        assert not K.orthonormal_columns
+        for _ in range(20):
+            x = rng.standard_normal(4) * 10.0 ** rng.uniform(-2, 3)
+            r = project(K, x)
+            assert r.certificate_gap <= 1e-10 * max(1.0, np.linalg.norm(x)) ** 2
+            # the normal x - p pairs to at most zero with the whole image cone
+            z_dirs = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [-0.6, 0.8, 1.0]])
+            assert np.all((z_dirs @ A.T) @ (x - r.point) <= 1e-8 * np.linalg.norm(x))
+        member = A @ np.array([0.3, -0.4, 0.5])
+        r = project(K, member)
+        assert r.distance == 0.0 and r.point.tobytes() == member.tobytes()
 
 
 class TestDykstra:
