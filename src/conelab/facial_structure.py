@@ -74,11 +74,15 @@ class FaceHandle:
     data and optional closures used by the probes.
 
     membership and exact_projector take one point. For the closed-form kinds
-    ("zero", "orthant", "soc_ray", "psd_range") the exact projector also maps
-    a (..., d) stack to (..., d), each row to exactly the bits it gets alone.
-    For those four kinds and the gallery's "seam_ray" and "seam_edge" the
+    ("zero", "orthant", "soc_ray", "psd_range", and the "diagonal" face of
+    the projections_dim4 check) the exact projector also maps a (..., d)
+    stack to (..., d), each row to exactly the bits it gets alone. For those
+    five kinds and the gallery's "seam_ray" and "seam_edge" the
     membership also maps a (..., d) stack to (...,) verdicts, each row to the
     verdict it gets alone; face_contains uses it. contains returns one bool.
+    A point with a non-finite entry is in no face: contains and face_contains
+    answer False for it without calling membership, so membership only ever
+    sees finite points.
     """
 
     parent: ConeSpec
@@ -108,11 +112,13 @@ class FaceHandle:
         return AffineSubspace(base, basis)
 
     def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return bool(self.membership(np.asarray(x, dtype=float), tol))
+        x = np.asarray(x, dtype=float)
+        return bool(np.all(np.isfinite(x)) and self.membership(x, tol))
 
 
-# Face kinds whose exact projector is closed-form and maps stacks to stacks.
-_STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range"})
+# Face kinds whose exact projector is closed-form and maps stacks to stacks;
+# "diagonal" is the diagonal PSD(2) face of the projections_dim4 check.
+_STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range", "diagonal"})
 # Face kinds whose membership maps a stack to one verdict per row.
 _STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam_ray", "seam_edge"}
 
@@ -121,13 +127,17 @@ def face_contains(F: FaceHandle, X, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Membership verdicts for an (n, d) stack of points, one bool per row.
 
     The stacked kinds of FaceHandle ("zero", "orthant", "soc_ray",
-    "psd_range", "seam_ray", "seam_edge") decide the whole stack in one
-    membership call; every other kind goes row by row through F.contains.
-    Either way each verdict equals F.contains of that row alone.
+    "psd_range", "diagonal", "seam_ray", "seam_edge") decide the whole stack
+    in one membership call on its finite rows; every other kind goes row by
+    row through F.contains. Either way each verdict equals F.contains of that
+    row alone, and a row with a non-finite entry is False.
     """
     X = np.asarray(X, dtype=float)
     if F.descriptor.get("kind") in _STACKED_MEMBERSHIP:
-        return np.asarray(F.membership(X, tol), dtype=bool)
+        finite = np.all(np.isfinite(X), axis=-1)
+        out = np.zeros(finite.shape, dtype=bool)
+        out[finite] = F.membership(X[finite], tol)
+        return out
     return np.array([F.contains(x, tol) for x in X], dtype=bool)
 
 
@@ -136,12 +146,9 @@ def face_projection(F: FaceHandle, x) -> np.ndarray:
 
     The exact projector is preferred; without one, Dykstra runs over the
     parent cone and the face's span (they intersect in F). A stack goes to
-    the projector in one call for the closed-form kinds ("zero", "orthant",
-    "soc_ray", "psd_range") and one row at a time otherwise; either way each
-    row of the result is bitwise the projection of that row alone.
-    face_contains decides membership of a stack the same way: in one call
-    for those four kinds and the gallery's "seam_ray" and "seam_edge", row
-    by row otherwise, each verdict the one the row gets alone.
+    the projector in one call for the closed-form kinds of FaceHandle and one
+    row at a time otherwise; either way each row of the result is bitwise the
+    projection of that row alone.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -329,12 +336,7 @@ def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
         return sym_to_vec(U @ Mp @ U.T)
 
     def member(v, tol=DEFAULT_TOL):
-        # a non-finite point is in no face (its eigen projection is not defined)
-        finite = np.all(np.isfinite(v), axis=-1)
-        out = np.zeros(finite.shape, dtype=bool)
-        w = v[finite]
-        out[finite] = row_norms(w - proj(w)) <= tol.margin(norm_scale(w))
-        return out
+        return row_norms(v - proj(v)) <= tol.margin(norm_scale(v))
 
     return FaceHandle(K, span, member, proj, {"kind": "psd_range", "range_basis": U.copy()})
 

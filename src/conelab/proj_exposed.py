@@ -297,7 +297,8 @@ def _dual_slice_element(
     label: str,
 ) -> np.ndarray:
     """Minimum-norm element of G with <pair_vec, .> = 1, found by sampling
-    the conjugate face and polishing with alternating projections."""
+    the conjugate face and polishing with alternating projections. A polish
+    that does not converge raises NonConvergenceError naming label."""
     rng = np.random.default_rng(seed)
     S = face_samples(G, n_dual_samples, rng)
     norms = np.maximum(np.linalg.norm(S, axis=1), 1e-30)
@@ -331,8 +332,10 @@ def _dual_slice_element(
         )
         if on_slice and in_face and np.linalg.norm(cand) <= np.linalg.norm(z) + 1e-9:
             z = cand / float(pair_vec @ cand)
-    except NonConvergenceError:
-        pass
+    except NonConvergenceError as err:
+        raise NonConvergenceError(
+            f"polishing {label}: {err.message}", err.iterations, err.residual
+        ) from err
     return z
 
 

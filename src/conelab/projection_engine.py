@@ -2,10 +2,11 @@
 
 Closed forms are used wherever they exist (orthant clipping, halfspaces,
 subspaces, the second-order cone, PSD eigenvalue clipping). Intersections run
-Dykstra's alternating scheme. Finite projections run one exact active-set
-solve each: finitely generated cones go through Lawson-Hanson nonnegative
-least squares (scipy's `nnls`), and hulls of point clouds through Wolfe's
-minimum-norm-point method. Both finite kernels either return an answer whose
+Dykstra's alternating scheme. Finite projections run exact active-set
+solves: finitely generated cones go through Lawson-Hanson nonnegative least
+squares (scipy's `nnls`, grown from a screened working set of generators when
+there are many), and hulls of point clouds through Wolfe's minimum-norm-point
+method. Both finite kernels either return an answer whose
 optimality certificate is within tolerance or raise NonConvergenceError.
 
 A point that is already in the cone comes back unchanged: the orthant,
@@ -57,6 +58,7 @@ class NonConvergenceError(RuntimeError):
     """An iterative projection failed to reach its stopping rule."""
 
     def __init__(self, message: str, iterations: int, residual: float):
+        self.message = message
         self.iterations = iterations
         self.residual = residual
         super().__init__(f"{message} (iterations={iterations}, residual={residual:.3e})")
@@ -160,14 +162,65 @@ def _kkt_certified(dual: float, comp: float, scale: float) -> bool:
     return dual <= GAP_TOL * s and comp <= GAP_TOL * s * s
 
 
+# Working-set size of the screened generator solve: a cone with more
+# generators is first solved on the SCREEN_SIZE rows that pair best with x.
+SCREEN_SIZE = 64
+
+
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson weights of min ||A lam - b|| over lam >= 0, capped at
+    scipy's default of 3 iterations per column."""
+    max_iter = 3 * A.shape[1]
+    try:
+        return nnls(A, b, maxiter=max_iter)[0]
+    except RuntimeError:
+        raise NonConvergenceError("nnls hit its iteration cap", max_iter, float("nan")) from None
+
+
+def _screened_nnls(G: np.ndarray, x: np.ndarray):
+    """Column generation over the rows of G: (weights over all rows, p, G (x - p)).
+
+    The first working set is the SCREEN_SIZE rows of largest cosine with x.
+    Each round solves NNLS on the working set, prices every row by its
+    pairing with x - p, and adds every row outside the set that pairs above
+    GAP_TOL * max(1, ||x||), the dual-feasibility tolerance of the
+    certificate. Each round adds a row or stops, so at worst the last round
+    solves over all rows."""
+    n = G.shape[0]
+    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
+    cos = np.divide(G @ x, norms, out=np.full(n, -np.inf), where=norms > 0.0)
+    work = np.zeros(n, dtype=bool)
+    work[np.argpartition(-cos, SCREEN_SIZE - 1)[:SCREEN_SIZE]] = True
+    tol = GAP_TOL * max(1.0, float(np.linalg.norm(x)))
+    while True:
+        W = np.flatnonzero(work)
+        lam_w = _nnls(G[W].T, x)
+        p = lam_w @ G[W]
+        pair = G @ (x - p)
+        violators = ~work & (pair > tol)
+        if not violators.any():
+            break
+        work |= violators
+    lam = np.zeros(n)
+    lam[W] = lam_w
+    return lam, p, pair
+
+
 def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     """Exact projection onto cone{rows of generators}.
 
-    One Lawson-Hanson nonnegative least-squares solve, min ||G^T lam - x||
-    over lam >= 0, certified by the KKT gap max(0, max_i <g_i, x - p>) +
-    |<lam, G (x - p)>| with p = G^T lam. Returns (point, weights, kkt_gap).
-    Raises NonConvergenceError when the solve hits its iteration cap or a
-    term of the gap is above tolerance (see _kkt_certified).
+    Lawson-Hanson nonnegative least squares, min ||G^T lam - x|| over
+    lam >= 0, certified by the KKT gap max(0, max_i <g_i, x - p>) +
+    |<lam, G (x - p)>| with p = G^T lam. Returns (point, weights over all
+    rows, kkt_gap). With at most SCREEN_SIZE generators this is one solve
+    over all of them. With more it is a screened column-generation solve:
+    screen the SCREEN_SIZE generators of largest cosine with x, solve on
+    them, price every generator by <g_i, x - p> and re-solve with each one
+    outside the set that violates dual feasibility, until none does. The
+    certificate is then taken over all generators, as for one solve.
+    Raises NonConvergenceError when a solve hits its cap of 3 iterations
+    per generator in its set or a term of the gap is above tolerance (see
+    _kkt_certified), and ValueError for a non-finite x.
 
     A member comes back unchanged: when p reproduces x to rounding level
     (see _snap_member) a copy of x is returned and ||x - p|| is added to the
@@ -177,13 +230,12 @@ def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     n = G.shape[0]
     if n == 0:
         return np.zeros_like(x), np.zeros(0), 0.0
-    max_iter = 3 * n  # scipy's default cap
-    try:
-        lam = nnls(G.T, x, maxiter=max_iter)[0]
-    except RuntimeError:
-        raise NonConvergenceError("nnls hit its iteration cap", max_iter, float("nan")) from None
-    p = G.T @ lam
-    pair = G @ (x - p)
+    if n <= SCREEN_SIZE:
+        lam = _nnls(G.T, x)
+        p = G.T @ lam
+        pair = G @ (x - p)
+    else:
+        lam, p, pair = _screened_nnls(G, x)
     dual = float(max(0.0, pair.max()))
     comp = abs(float(lam @ pair))
     gap = dual + comp

@@ -123,3 +123,26 @@ class TestDiagonalPsdFace:
     )
     def test_rejects_points_off_the_face(self, face, X):
         assert not face.contains(sym_to_vec(np.array(X)))
+
+    def test_stack_equals_rows_and_the_generator_solve(self, face):
+        from conelab.facial_structure import face_contains, face_projection
+        from conelab.projection_engine import project_conic_generators
+
+        rng = np.random.default_rng(7)
+        on = rng.gamma(2.0, 1.0, (20, 2)) @ face.descriptor["generators"]
+        on[:5, 0] = 0.0
+        moved = on + rng.standard_normal((20, 3)) * 10.0 ** rng.uniform(-11, -7, (20, 1))
+        X = np.vstack([on, moved, rng.standard_normal((20, 3)) * 3.0])
+        X[-3:, 1] = [np.nan, np.inf, -np.inf]
+        got = face_contains(face, X)
+        assert got.tolist() == [face.contains(x) for x in X]
+        assert 0 < got[20:40].sum() < 20 and not got[-3:].any()
+        gens = face.descriptor["generators"]
+        for x, verdict in zip(X[:-3], got[:-3]):
+            # the membership formula of the per-point generator solve it replaced
+            p = project_conic_generators(gens, x)[0]
+            assert verdict == (np.linalg.norm(x - p) <= 1e-9 * max(1.0, np.linalg.norm(x)))
+        P = face_projection(face, X[:-3])
+        assert P.tobytes() == b"".join(face_projection(face, x).tobytes() for x in X[:-3])
+        ref = np.array([project_conic_generators(gens, x)[0] for x in X[:-3]])
+        np.testing.assert_allclose(P, ref, rtol=0.0, atol=1e-14)

@@ -254,8 +254,6 @@ class TestStackedMembership:
         F = _stack_face(kind, seed)
         assert F.descriptor["kind"] == kind
         X = _membership_rows(F, seed)
-        if kind == "poly_gens":
-            X = X[np.all(np.isfinite(X), axis=1)]  # nnls rejects non-finite points
         with np.errstate(all="ignore"):
             got = face_contains(F, X)
             rows = [F.contains(x) for x in X]
@@ -263,16 +261,31 @@ class TestStackedMembership:
             assert got.tolist() == rows
             assert face_contains(F, np.asfortranarray(X)).tolist() == rows
             assert face_contains(F, X[:0]).shape == (0,)
-            if kind == "poly_gens":
-                return
             finite = np.all(np.isfinite(X), axis=1)
             for x, verdict, ok in zip(X, rows, finite):
-                if ok or kind != "psd_range":
+                if not ok:
+                    assert not verdict  # a non-finite point is in no face
+                elif kind != "poly_gens":
                     assert verdict == _reference_membership(F, x)
-                else:
-                    assert not verdict  # the eigen projection of x is not defined
         # the rows straddle the tolerance: both verdicts occur among the moved rows
-        assert 0 < sum(rows[12:36]) < 24 or kind == "zero"
+        assert 0 < sum(rows[12:36]) < 24 or kind in ("zero", "poly_gens")
+
+    def test_orthant_rejects_infinite_point(self):
+        # an infinite coordinate would make the orthant's margin infinite
+        F = minimal_face(NonnegativeOrthant(3), (1.0, 1.0, 0.0))
+        x = (np.inf, -1e300, 7.0)
+        assert F.contains(x) is False
+        assert face_contains(F, [x, (1.0, 2.0, 0.0)]).tolist() == [False, True]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_generator_face_rejects_non_finite_point(self, bad):
+        # the membership runs an nnls solve, which rejects non-finite input
+        F = _stack_face("poly_gens", 3)
+        G = F.descriptor["generators"]
+        x = G[0].copy()
+        x[1] = bad
+        assert F.contains(G[0]) and F.contains(x) is False
+        assert face_contains(F, [x, G[0]]).tolist() == [False, True]
 
     def test_contains_returns_bool(self):
         for kind in _MEMBER_KINDS:

@@ -10,12 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
+from conelab import checks
 from conelab import cone_algebra as CA
 from conelab import gallery
 from conelab.amenability_probe import ErrorBoundEstimate
 from conelab.facial_structure import FaceHandle, face_samples, minimal_face
 from conelab.linalg_core import BoundedRegion, orthonormalize, row_norms, sym_to_vec, vec_to_sym
-from conelab.projection_engine import project_conic_generators
+from conelab.projection_engine import NonConvergenceError, project_conic_generators
 from conelab.proj_exposed import (
     Codim1ConsistencyReport,
     NotSeparableError,
@@ -250,6 +251,17 @@ class TestRankTwo:
         with pytest.raises(ValueError, match="not an exposed face"):
             build_rank_two_projection(K, F, n_samples=100)
 
+    def test_polish_failure_raises_with_label(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise NonConvergenceError("Dykstra did not converge", 50000, 1e-3)
+
+        monkeypatch.setattr("conelab.proj_exposed.dykstra_projectors", stalled)
+        K = CA.NonnegativeOrthant(3)
+        F = minimal_face(K, np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(NonConvergenceError, match="polishing z1: Dykstra did not") as info:
+            build_rank_two_projection(K, F, n_samples=100)
+        assert info.value.iterations == 50000 and info.value.residual == 1e-3
+
     def test_undecided_exposedness_warns_but_builds(self, monkeypatch):
         K = CA.NonnegativeOrthant(3)
         F = minimal_face(K, np.array([1.0, 1.0, 0.0]))
@@ -313,7 +325,7 @@ def _dim4_retractions():
     )
     rank_two = (
         ("orthant_face", orthant, minimal_face(orthant, np.array([1.0, 1.0, 0.0]))),
-        ("psd_diagonal", psd, diagonal_psd_face(psd)),
+        ("psd_diagonal", psd, checks._diagonal_psd_face(psd)),
         ("cylinder_seam_face", hull, gallery.seam_face(hull)),
     )
     return [
@@ -337,8 +349,18 @@ class TestStackedCertification:
             counts = _certification_counts(P, K, F, 1000, 11)
             assert counts == _looped_certification_counts(P, K, F, 1000, 11), label
             assert counts[1] == 0, label
-        # the stacked kinds and the row-by-row fallback all take part
-        assert kinds == {"orthant", "psd_range", "seam_ray", "seam_edge", "diagonal_psd"}
+        assert kinds == {"orthant", "psd_range", "seam_ray", "seam_edge", "diagonal"}
+
+    def test_diagonal_counts_equal_the_generator_face(self, retractions):
+        # the closed-form diagonal face against the nnls-based face it replaced,
+        # whose membership goes row by row
+        (P,) = [P for label, _, _, P in retractions if label == "psd_diagonal"]
+        K = CA.PsdCone(2)
+        closed, solved = checks._diagonal_psd_face(K), diagonal_psd_face(K)
+        for M in (P, np.eye(3), P + 1e-6 * np.eye(3), P + 1e-10 * np.eye(3)):
+            counts = _certification_counts(M, K, closed, 1000, 11)
+            assert counts == _certification_counts(M, K, solved, 1000, 11)
+            assert counts == _looped_certification_counts(M, K, closed, 1000, 11)
 
     def test_wrong_map_violations_equal_the_contains_loop(self, retractions):
         for label, K, F, P in retractions:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, nnls
 
-from conelab import projection_engine
+from conelab import gallery, projection_engine
 from conelab.cone_algebra import (
     ConicHull,
     IntersectionCone,
@@ -209,6 +209,134 @@ class TestMembersReturnedUnchanged:
         pair = PYRAMID @ r
         kkt = max(0.0, float(pair.max())) + abs(float(lam @ pair))
         assert gap >= kkt + 0.5 * residual
+
+
+def _gallery_generators(density: int, hint: float = 0.0) -> np.ndarray:
+    """Lifted generators of the gallery cone, as its project_fn builds them
+    (3 * density + 1 + 65 rows with a hint window)."""
+    if density == 512:
+        return gallery.conic_hull_of_body(512).extra["slice"].sampler(512)
+    pts, _ = gallery.curve_cloud(
+        density, gamma_extra=(hint,), windows=[(hint, 8.0 * np.pi / density, 65)]
+    )
+    return np.column_stack([pts, np.ones(pts.shape[0])])
+
+
+def _one_solve(G, x):
+    """The unscreened kernel: one nnls solve over all generators."""
+    lam = nnls(G.T, x, maxiter=3 * G.shape[0])[0]
+    return G.T @ lam, lam
+
+
+def _queries(G, rng, n):
+    """Far queries around the generators' mean, plus near-face queries
+    1e-9 and 1e-6 outside the cone along the normal of a far query's
+    projection, and members on that projection's face."""
+    center = G.mean(axis=0)
+    scale = float(np.linalg.norm(G, axis=1).max())
+    far = center + rng.standard_normal((n, G.shape[1])) * scale * rng.uniform(0.2, 3.0, (n, 1))
+    out = list(far)
+    for x in far[: n // 2]:
+        p, _ = _one_solve(G, x)
+        r = x - p
+        nr = float(np.linalg.norm(r))
+        if nr > 1e-6:
+            out += [p + 1e-9 * r / nr, p + 1e-6 * r / nr, p]
+    return out
+
+
+class TestScreenedGenerators:
+    """More than SCREEN_SIZE generators go through the screened solve."""
+
+    @pytest.mark.parametrize(
+        "kind,n", [("random", 65), ("random", 300), ("random", 2000), ("gallery", 1536),
+                   ("gallery", 6209)],
+    )
+    def test_agrees_with_one_full_solve(self, kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "random":
+            G = np.column_stack([rng.standard_normal((n, 3)), np.ones(n)])
+        else:
+            G = _gallery_generators(512 if n == 1536 else 2048, hint=1.1)
+        assert G.shape[0] == n > projection_engine.SCREEN_SIZE
+        for x in _queries(G, rng, 12):
+            p, lam, gap = project_conic_generators(G, x)
+            ref, _ = _one_solve(G, x)
+            s = max(1.0, float(np.linalg.norm(x)))
+            assert np.linalg.norm(p - ref) <= 1e-12 * s
+            assert lam.shape == (n,) and np.all(lam >= 0.0)
+            assert gap <= 1e-10 * s * s
+            # the certificate covers every generator, in the set or not
+            assert (G @ (x - p)).max() <= 1e-10 * s
+
+    def test_pricing_pulls_in_a_low_cosine_support(self, monkeypatch):
+        # x sits just below the middle of the long edge A B of the slice
+        # triangle A B C; 100 interior decoys near the edge pair better with x
+        # than A and B do, so the first working set misses the support {A, B}
+        rng = np.random.default_rng(3)
+        decoys = np.column_stack(
+            [rng.uniform(-0.1, 0.1, 100), rng.uniform(0.01, 0.05, 100), np.ones(100)]
+        )
+        A, B, C = [-10.0, 0.0, 1.0], [10.0, 0.0, 1.0], [0.0, 1.0, 1.0]
+        G = np.vstack([decoys, [A, B, C]])
+        x = np.array([0.3, -0.5, 1.0])
+        cos = (G @ x) / np.linalg.norm(G, axis=1)
+        first = np.argsort(-cos)[: projection_engine.SCREEN_SIZE]
+        assert not {100, 101} & set(first.tolist())
+        sizes = []
+
+        def spy(A_, b, maxiter=None):
+            sizes.append(A_.shape[1])
+            return nnls(A_, b, maxiter=maxiter)
+
+        monkeypatch.setattr(projection_engine, "nnls", spy)
+        p, lam, gap = project_conic_generators(G, x)
+        assert sizes[0] == projection_engine.SCREEN_SIZE and len(sizes) >= 2
+        assert lam[100] > 0.0 and lam[101] > 0.0
+        np.testing.assert_allclose(p, [0.3, 0.0, 1.0], rtol=0.0, atol=1e-12)
+        ref, _ = _one_solve(G, x)
+        assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 64])
+    def test_few_generators_take_the_single_solve_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            G = rng.standard_normal((n, 4))
+            x = rng.standard_normal(4) * 10.0 ** rng.uniform(-2, 2)
+            if rng.random() < 0.3:
+                x = np.abs(rng.standard_normal(n)) @ G  # a member
+            p, lam, gap = project_conic_generators(G, x)
+            ref, ref_lam = _one_solve(G, x)
+            pair = G @ (x - ref)
+            ref_gap = float(max(0.0, pair.max())) + abs(float(ref_lam @ pair))
+            ref, ref_gap = projection_engine._snap_member(x, ref, ref_gap)
+            assert p.tobytes() == ref.tobytes()
+            assert lam.tobytes() == ref_lam.tobytes()
+            assert gap == ref_gap
+
+    def test_members_come_back_bitwise(self):
+        G = _gallery_generators(512)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            idx = rng.choice(G.shape[0], 3, replace=False)
+            x = rng.gamma(2.0, 1.0, 3) @ G[idx]
+            p, lam, gap = project_conic_generators(G, x)
+            assert p.tobytes() == x.tobytes()
+            assert gap <= 1e-10 * np.linalg.norm(x) ** 2
+
+    def test_working_set_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            projection_engine, "nnls", lambda A, b, maxiter=None: nnls(A, b, maxiter=1)
+        )
+        G = _gallery_generators(512)
+        with pytest.raises(NonConvergenceError, match="iteration cap") as info:
+            project_conic_generators(G, np.array([3.0, 1.0, 0.5, 1.0]))
+        assert info.value.iterations == 3 * projection_engine.SCREEN_SIZE
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_raises(self, bad):
+        with pytest.raises(ValueError):
+            project_conic_generators(_gallery_generators(512), np.array([bad, 0.0, 0.0, 1.0]))
 
 
 class TestCompositeSpecs:
