@@ -146,16 +146,34 @@ def gamma_velocity(t):
     return np.stack([-4.0 * np.sin(2.0 * t), 4.0 * np.cos(2.0 * t), dz], axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _fixed_rows(density: int):
+    """The rows of curve_cloud(density) that do not depend on its refinements:
+    the two circles' points and tags, and the base arc grid; read-only."""
+    sa = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
+    circles = np.vstack([curve_alpha(sa), curve_beta(sa)])
+    tags = np.concatenate([np.full(density, -1.0), np.full(density, -2.0)])
+    grid = np.linspace(0.0, np.pi, density)
+    for a in (circles, tags, grid):
+        a.flags.writeable = False
+    return circles, tags, grid
+
+
 def curve_cloud(density: int, gamma_extra=(), windows=()):
     """Extreme-point sample of the body: both circles plus the arc.
 
     gamma_extra inserts exact arc parameters; windows is an iterable of
     (center, halfwidth, count) triples adding local arc refinements. Returns
     (points, tags) where tag -1 marks the top circle, -2 the bottom circle,
-    and nonnegative tags store the arc parameter.
+    and nonnegative tags store the arc parameter. The first 2 * density rows
+    are the circles and the arc rows follow in increasing parameter order.
+
+    The circles and the base arc grid are built once per density and cached
+    read-only; every call returns fresh arrays, so writing into one changes
+    no later call.
     """
-    sa = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
-    parts = [np.linspace(0.0, np.pi, density)]
+    circles, circle_tags, grid = _fixed_rows(density)
+    parts = [grid]
     if len(gamma_extra):
         parts.append(np.asarray(gamma_extra, dtype=float))
     for center, halfwidth, count in windows:
@@ -163,9 +181,7 @@ def curve_cloud(density: int, gamma_extra=(), windows=()):
         hi = min(np.pi, center + halfwidth)
         parts.append(np.linspace(lo, hi, count))
     sg = np.unique(np.concatenate(parts))
-    pts = np.vstack([curve_alpha(sa), curve_beta(sa), curve_gamma(sg)])
-    tags = np.concatenate([np.full(density, -1.0), np.full(density, -2.0), sg])
-    return pts, tags
+    return np.vstack([circles, curve_gamma(sg)]), np.concatenate([circle_tags, sg])
 
 
 # ---------------------------------------------------------------------------
@@ -352,24 +368,57 @@ def _hint_from_xy(x: np.ndarray) -> float:
     return 0.5 * ang
 
 
+def _carry_weights(rows: np.ndarray, weights: np.ndarray, row_tags: np.ndarray,
+                   tags: np.ndarray, density: int) -> np.ndarray:
+    """The weights on rows (with tags row_tags) of one refinement round's
+    cloud, as a weight vector over the rows of the next round's cloud (with
+    tags tags). Circle rows keep their index; an arc row goes to the row with
+    its exact tag in the new arc grid, which holds it because the refinement
+    adds the round's arc support to its exact parameters. Raises RuntimeError
+    if one is missing."""
+    n_circ = 2 * density
+    arc = rows >= n_circ
+    grid = tags[n_circ:]
+    pos = np.minimum(np.searchsorted(grid, row_tags[arc]), grid.shape[0] - 1)
+    if not np.array_equal(grid[pos], row_tags[arc]):
+        raise RuntimeError("an arc row of the previous round is missing from the refined cloud")
+    new_rows = rows.copy()
+    new_rows[arc] = n_circ + pos
+    out = np.zeros(tags.shape[0])
+    out[new_rows] = weights
+    return out
+
+
 def _project_body(x: np.ndarray, density: int, rounds: int = 3) -> ProjectionResult:
     """Nearest point of the body: hull projection with the arc parameter
-    hinted from the shadow angle, then support-window refinement."""
+    hinted from the shadow angle, then support-window refinement.
+
+    Each round after the first is warm-started from the previous round's
+    support, its rows of weight above 1e-12 carried onto the refined cloud.
+    Wolfe's iterates never move away from x, so each round's distance is at
+    most the previous round's, up to the rounding of a re-solved support;
+    the nearest round's answer is returned, the latest one on ties. When a
+    round returns x itself (distance 0.0) the refinement stops, since every
+    later cloud holds that round's support and no round can do better."""
     x = np.asarray(x, dtype=float)
     extra = [_hint_from_xy(x)]
     windows = []
-    res = None
+    best = None
     for r in range(rounds + 1):
         pts, tags = curve_cloud(density, gamma_extra=extra, windows=windows)
-        res, wts = project_hull(pts, x, return_weights=True)
-        if r == rounds:
+        start = None if r == 0 else _carry_weights(*carried, tags, density)
+        res, wts = project_hull(pts, x, return_weights=True, start=start)
+        if best is None or res.distance <= best.distance:
+            best = res
+        if r == rounds or res.distance == 0.0:
             break
         sup = np.nonzero(wts > 1e-12)[0]
+        carried = (sup, wts[sup], tags[sup])
         arc_support = tags[sup][tags[sup] >= 0.0]
         halfwidth = (np.pi / density) / (4.0**r)
         windows = [(float(c), 2.0 * halfwidth, 33) for c in arc_support]
         extra = list(np.unique(np.concatenate([extra, arc_support])))
-    return res
+    return best
 
 
 @lru_cache(maxsize=8)

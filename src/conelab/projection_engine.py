@@ -465,7 +465,7 @@ def _affine_weights(Ps: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([[1.0 - nu.sum()], nu])
 
 
-def project_hull(points, x, return_weights: bool = False):
+def project_hull(points, x, return_weights: bool = False, *, start=None):
     """Exact nearest point of conv(rows of points) from x.
 
     Wolfe's minimum-norm-point method (Wolfe 1976), started at the nearest
@@ -476,6 +476,15 @@ def project_hull(points, x, return_weights: bool = False):
     is certified by a Frank-Wolfe gap of at most GAP_TOL; the loop raises
     NonConvergenceError when it stalls (the most violating vertex is already
     in the support) or reaches HULL_MAX_ITER iterations.
+
+    start warm-starts the method: a vector of convex weights over the rows,
+    in the format return_weights gives. Wolfe then begins from its nonzero
+    rows, with the weights renormalised to sum 1, instead of from the nearest
+    vertex. Its iterates never move farther from x than that start point, so
+    the answer is no farther than the start (up to rounding), and the weights
+    of an answer, given back as start, finish in one iteration. A start of
+    the wrong length, with a negative or non-finite entry, or with a zero or
+    overflowing sum raises ValueError.
 
     A member comes back unchanged: when the hull point reproduces x to
     rounding level (see _snap_member) a copy of x is returned and the
@@ -488,8 +497,19 @@ def project_hull(points, x, return_weights: bool = False):
     if m == 0:
         raise ValueError("empty point set")
 
-    support = [int(np.argmin(np.linalg.norm(P - x, axis=1)))]
-    lam_s = np.ones(1)
+    if start is None:
+        support = [int(np.argmin(np.linalg.norm(P - x, axis=1)))]
+        lam_s = np.ones(1)
+    else:
+        w = np.asarray(start, dtype=float)
+        if w.shape != (m,):
+            raise ValueError(f"start must hold one weight per row ({m}), got shape {w.shape}")
+        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
+            total = float(w.sum())
+        if not (np.isfinite(w).all() and (w >= 0.0).all() and np.isfinite(total) and total > 0.0):
+            raise ValueError("start must be finite, nonnegative weights with a positive sum")
+        support = np.flatnonzero(w).tolist()
+        lam_s = w[support] / total
     gap = np.inf
     for iters in range(1, HULL_MAX_ITER + 1):
         mu = _affine_weights(P[support], x)

@@ -4,7 +4,7 @@ import pytest
 
 from conelab import gallery as G
 from conelab.facial_structure import is_exposed
-from conelab.projection_engine import project
+from conelab.projection_engine import MEMBER_SNAP, project
 
 
 # frozen independently of the implementation run: the closed forms below were
@@ -66,6 +66,49 @@ class TestCurves:
         extra_pts, extra_tags = G.curve_cloud(64, gamma_extra=(0.5,))
         assert extra_pts.shape[0] == 3 * 64 + 1
         assert 0.5 in extra_tags
+
+
+def _curve_cloud_reference(density, gamma_extra=(), windows=()):
+    # the uncached formula
+    sa = np.linspace(0.0, 2.0 * np.pi, density, endpoint=False)
+    parts = [np.linspace(0.0, np.pi, density)]
+    if len(gamma_extra):
+        parts.append(np.asarray(gamma_extra, dtype=float))
+    for center, halfwidth, count in windows:
+        parts.append(np.linspace(max(0.0, center - halfwidth), min(np.pi, center + halfwidth), count))
+    sg = np.unique(np.concatenate(parts))
+    pts = np.vstack([G.curve_alpha(sa), G.curve_beta(sa), G.curve_gamma(sg)])
+    tags = np.concatenate([np.full(density, -1.0), np.full(density, -2.0), sg])
+    return pts, tags
+
+
+class TestCurveCloudCache:
+    @pytest.mark.parametrize("density", [64, 128, 2048])
+    @pytest.mark.parametrize(
+        "refine",
+        [
+            {},
+            {"gamma_extra": (0.5, 1e-3)},
+            {"windows": [(0.02, 0.01, 33), (3.1, 0.2, 17)]},
+            {"gamma_extra": [0.25], "windows": [(0.25, 0.003, 65)]},
+        ],
+    )
+    def test_bitwise_equal_to_uncached_formula(self, density, refine):
+        for _ in range(2):  # the second call is served from the cache
+            pts, tags = G.curve_cloud(density, **refine)
+            ref_pts, ref_tags = _curve_cloud_reference(density, **refine)
+            assert pts.tobytes() == ref_pts.tobytes()
+            assert tags.tobytes() == ref_tags.tobytes()
+
+    def test_writing_into_a_cloud_changes_no_later_call(self):
+        pts, tags = G.curve_cloud(128, gamma_extra=(0.5,))
+        pts[:] = np.nan
+        tags[:] = 7.0
+        pts2, tags2 = G.curve_cloud(128)
+        ref_pts, ref_tags = _curve_cloud_reference(128)
+        assert pts2.tobytes() == ref_pts.tobytes()
+        assert tags2.tobytes() == ref_tags.tobytes()
+        assert not any(a.flags.writeable for a in G._fixed_rows(128))
 
 
 class TestDeterminantIdentity:
@@ -177,6 +220,62 @@ class TestBody:
         pts = C.sample_fn(50, rng)
         for x in pts:
             assert C.member_fn(x).in_set
+
+
+def _refinement_queries():
+    rng = np.random.default_rng(5)
+    gauss = rng.standard_normal((20, 3)) * 1.5
+    plane = np.column_stack([rng.uniform(-2.2, 2.2, (20, 2)), np.ones(20)])
+    witness = [
+        G.witness_w(t) + sign * 1e-9
+        for t in np.linspace(0.01, np.pi / 2.0, 20)
+        for sign in (1.0, -1.0)
+    ]
+    return np.vstack([gauss, plane, witness])
+
+
+class TestBodyRefinement:
+    def _spied(self, monkeypatch):
+        rounds = []
+        real = G.project_hull
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            rounds.append(out[0].distance)
+            return out
+
+        monkeypatch.setattr(G, "project_hull", spy)
+        return rounds
+
+    def test_distance_never_above_an_earlier_round(self, monkeypatch):
+        rounds = self._spied(monkeypatch)
+        for x in _refinement_queries():
+            rounds.clear()
+            d = G._project_body(x, 128).distance
+            assert all(d <= r for r in rounds), (x, d, rounds)
+            # each warm-started round is at most the previous one, up to the
+            # rounding of the re-solved affine system
+            slack = MEMBER_SNAP * max(1.0, float(np.linalg.norm(x)))
+            assert all(b <= a + slack for a, b in zip(rounds, rounds[1:])), (x, rounds)
+
+    def test_carried_arc_row_must_be_in_the_refined_cloud(self):
+        _, tags = G.curve_cloud(64, gamma_extra=(0.5,))
+        row = np.flatnonzero(tags == 0.5)
+        _, coarse = G.curve_cloud(64)
+        with pytest.raises(RuntimeError, match="missing"):
+            G._carry_weights(row, np.ones(1), tags[row], coarse, 64)
+
+    def test_member_comes_back_after_one_round(self, monkeypatch):
+        rounds = self._spied(monkeypatch)
+        C = G.body(128)
+        members = np.vstack([[0.0, 0.0, 0.0], [0.3, -0.2, 0.5],
+                             C.sample_fn(5, np.random.default_rng(3))])
+        for x in members:
+            rounds.clear()
+            res = G._project_body(x, 128)
+            assert res.point.tobytes() == x.tobytes()
+            assert res.distance == 0.0
+            assert rounds == [0.0]
 
 
 @pytest.fixture(scope="module")

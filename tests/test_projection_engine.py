@@ -1,4 +1,5 @@
 """Tests for closed-form projections, generator cones, hulls, and Dykstra."""
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -485,19 +486,77 @@ _TINY_CLOUDS = {
 }
 
 
+def _warm_start(kind, P, x, rng):
+    """A start for project_hull on P from x: None (cold), the cold answer's
+    own weights, one random vertex, or uniform weights over the cold support."""
+    if kind == "cold":
+        return None
+    if kind == "vertex":
+        start = np.zeros(P.shape[0])
+        start[rng.integers(P.shape[0])] = 1.0
+        return start
+    _, w = project_hull(P, x, return_weights=True)
+    return w if kind == "answer" else (w > 0.0).astype(float)
+
+
+@lru_cache(maxsize=None)
+def _tiny_cloud_cases(name):
+    """(query, enumerated nearest point) pairs for one tiny cloud, shared by
+    every start of the test below."""
+    P = _TINY_CLOUDS[name]
+    rng = np.random.default_rng(12)
+    xs = [rng.standard_normal(P.shape[1]) * scale for scale in (0.3, 1.0, 3.0) for _ in range(8)]
+    return [(x, _brute_force_hull(P, x)) for x in xs]
+
+
 class TestHullAgainstBruteForce:
+    @staticmethod
+    def _check(name, start):
+        P = _TINY_CLOUDS[name]
+        rng = np.random.default_rng(13)
+        for x, ref in _tiny_cloud_cases(name):
+            r = project_hull(P, x, start=_warm_start(start, P, x, rng))
+            np.testing.assert_allclose(r.point, ref, rtol=0.0, atol=1e-12)
+            assert abs(r.distance - np.linalg.norm(x - ref)) <= 1e-12
+            assert r.certificate_gap <= 1e-10
+            if start == "answer":
+                assert r.iterations == 1
+
     @pytest.mark.parametrize("name", list(_TINY_CLOUDS))
     def test_agrees_with_enumeration(self, name):
+        self._check(name, "cold")
+
+    @pytest.mark.parametrize("start", ["answer", "vertex", "uniform_on_support"])
+    @pytest.mark.parametrize("name", list(_TINY_CLOUDS))
+    def test_warm_start_agrees_with_enumeration(self, name, start):
+        self._check(name, start)
+
+    @pytest.mark.parametrize("name", list(_TINY_CLOUDS))
+    def test_start_scale_changes_nothing(self, name):
+        # start is renormalised: random weights over every row send Wolfe
+        # through minor cycles, and scaling them by a power of two must not
+        # change a bit of the answer
         P = _TINY_CLOUDS[name]
-        rng = np.random.default_rng(12)
-        for scale in (0.3, 1.0, 3.0):
-            for _ in range(8):
-                x = rng.standard_normal(P.shape[1]) * scale
-                r = project_hull(P, x)
-                ref = _brute_force_hull(P, x)
-                np.testing.assert_allclose(r.point, ref, rtol=0.0, atol=1e-12)
-                assert abs(r.distance - np.linalg.norm(x - ref)) <= 1e-12
-                assert r.certificate_gap <= 1e-10
+        rng = np.random.default_rng(14)
+        for x, _ in _tiny_cloud_cases(name):
+            w = rng.dirichlet(np.ones(P.shape[0]))
+            r1, w1 = project_hull(P, x, return_weights=True, start=w)
+            r8, w8 = project_hull(P, x, return_weights=True, start=8.0 * w)
+            assert r8.iterations == r1.iterations
+            assert r8.point.tobytes() == r1.point.tobytes()
+            assert w8.tobytes() == w1.tobytes()
+
+    @pytest.mark.parametrize(
+        "start",
+        [np.ones(3), np.ones(5), np.array([1.0, -1e-3, 0.0, 0.0]),
+         np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0, 0.0]),
+         np.zeros(4), np.full(4, 1e308)],
+        ids=["short", "long", "negative", "nan", "inf", "zero_sum", "overflowing_sum"],
+    )
+    def test_invalid_start_raises(self, start):
+        P = _TINY_CLOUDS["R2_m4"]
+        with pytest.raises(ValueError, match="start"):
+            project_hull(P, np.array([3.0, 1.0]), start=start)
 
 
 class TestCertifiedOrRaise:
