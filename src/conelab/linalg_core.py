@@ -7,6 +7,7 @@ basis matrices are row-stacked orthonormal vectors.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "sym_to_vec",
     "vec_to_sym",
     "sym_vec_dim",
+    "vec_norm",
     "row_norms",
     "row_dots",
     "norm_scale",
@@ -228,7 +230,9 @@ def _unit_ball(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 #
 # Both maps work on stacks: sym_to_vec takes (..., n, n) and vec_to_sym takes
 # (..., m), and each matrix or vector of a stack maps to exactly the bits it
-# maps to on its own.
+# maps to on its own. Each map is one cached gather times 1.0 or sqrt(2), so
+# the diagonal keeps its bits. Only sym_to_vec checks symmetry; the PSD
+# projector embeds its own U diag(w) U^T unchecked (the check cost more than eigh).
 # ---------------------------------------------------------------------------
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -243,13 +247,15 @@ def sym_vec_dim(n: int) -> int:
 
 @functools.lru_cache(maxsize=32)
 def _triangle(n: int):
-    """Row and column indices of the upper triangle of an n x n matrix, and
-    the mask of its off-diagonal entries; read-only, shared by every call."""
+    """Flat upper-triangle indices of an n x n matrix, their multipliers (1.0
+    or sqrt(2)) and every entry's vector coordinate; read-only, shared."""
     iu, ju = np.triu_indices(n)
-    off = iu != ju
-    for a in (iu, ju, off):
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[iu, ju] = pos[ju, iu] = np.arange(iu.size)
+    layout = (iu * n + ju, np.where(iu == ju, 1.0, _SQRT2), pos.ravel())
+    for a in layout:
         a.setflags(write=False)
-    return iu, ju, off
+    return layout
 
 
 def _is_symmetric(X: np.ndarray) -> np.ndarray:
@@ -264,37 +270,42 @@ def _is_symmetric(X: np.ndarray) -> np.ndarray:
     return ok.all(axis=(-2, -1))
 
 
+def _embed(X: np.ndarray) -> np.ndarray:
+    """sym_to_vec of a float (..., n, n) array without the symmetry check; reads
+    the upper triangle. C-ordered: BLAS sums strided rows in another order."""
+    n = X.shape[-1]
+    flat, mult, _ = _triangle(n)
+    return np.take(X.reshape(X.shape[:-2] + (n * n,)), flat, axis=-1) * mult
+
+
 def sym_to_vec(X: np.ndarray) -> np.ndarray:
-    """Embed a symmetric matrix, or a (..., n, n) stack of them, as
+    """Embed a symmetric matrix, or a (..., n, n) stack of them, as C-ordered
     (..., n(n+1)/2) vectors. Raises ValueError when any matrix is not
-    symmetric."""
+    symmetric; the PSD projector skips this check on its own output."""
     X = np.asarray(X, dtype=float)
     if X.ndim < 2 or X.shape[-1] != X.shape[-2]:
         raise ValueError("expected a square matrix")
     if not np.all(_is_symmetric(X)):
         raise ValueError("matrix is not symmetric")
-    iu, ju, off = _triangle(X.shape[-1])
-    # C order: indexing a stack gives Fortran order, whose strided rows BLAS
-    # kernels would sum in another order than the vector of one matrix
-    v = np.ascontiguousarray(X[..., iu, ju])
-    v[..., off] *= _SQRT2
-    return v
+    return _embed(X)
 
 
 def vec_to_sym(v: np.ndarray) -> np.ndarray:
-    """Inverse of sym_to_vec over the last axis: (..., m) to (..., n, n)."""
+    """Inverse of sym_to_vec over the last axis: (..., m) to C-ordered
+    (..., n, n), symmetric by construction, so nothing is checked."""
     v = np.asarray(v, dtype=float)
     m = v.shape[-1]
     n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
     if sym_vec_dim(n) != m:
         raise ValueError(f"length {m} is not a triangular number")
-    iu, ju, off = _triangle(n)
-    X = np.zeros(v.shape[:-1] + (n, n))
-    w = v.copy()
-    w[..., off] /= _SQRT2
-    X[..., iu, ju] = w
-    X[..., ju, iu] = w
-    return X
+    _, mult, coord = _triangle(n)
+    return np.take(v / mult, coord, axis=-1).reshape(v.shape[:-1] + (n, n))
+
+
+def vec_norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a float vector, bitwise: numpy's 1-d path, undispatched."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def row_norms(A: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ certificate.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -39,7 +40,7 @@ from .cone_algebra import (
     SecondOrderCone,
     UnsupportedVariantError,
 )
-from .linalg_core import DEFAULT_TOL, Tolerance, vec_to_sym, sym_to_vec
+from .linalg_core import DEFAULT_TOL, Tolerance, _embed, vec_norm, vec_to_sym
 
 __all__ = [
     "ProjectionResult",
@@ -71,7 +72,7 @@ class ProjectionResult:
     optimality certificate (zero for closed forms).
 
     The input itself is returned for certified members: the point is then a
-    copy of the input and the distance is exactly 0.0."""
+    copy of the input and the distance is exactly 0.0. The input is finite."""
 
     point: np.ndarray
     distance: float
@@ -84,7 +85,7 @@ _METHOD_RANK = {"closed_form": 0, "eigen_clip": 1, "hull_qp": 2, "dykstra": 3}
 
 
 def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: float = 0.0) -> ProjectionResult:
-    return ProjectionResult(p, float(np.linalg.norm(np.asarray(x) - p)), method, iters, gap)
+    return ProjectionResult(p, vec_norm(x - p), method, iters, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +95,7 @@ def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: floa
 
 def _project_soc(x: np.ndarray) -> np.ndarray:
     y, t = x[:-1], float(x[-1])
-    ny = float(np.linalg.norm(y))
+    ny = vec_norm(y)
     if ny <= t:
         return x.copy()
     if ny <= -t:
@@ -111,14 +112,13 @@ def _project_psd(x: np.ndarray) -> np.ndarray:
     if w[0] >= 0.0:
         # nothing to clip: rebuilding U diag(w) U^T would only add rounding
         return x.copy()
-    wp = np.maximum(w, 0.0)
-    return sym_to_vec((U * wp) @ U.T)
+    return _embed((U * np.maximum(w, 0.0)) @ U.T)
 
 
 def project_scaled_soc(x: np.ndarray, slope: float) -> np.ndarray:
     """Project onto {(v, h) : ||v|| <= slope * h} in closed form."""
     v, h = x[:-1], float(x[-1])
-    nv = float(np.linalg.norm(v))
+    nv = vec_norm(v)
     if nv <= slope * h:
         return x.copy()
     if slope * nv <= -h:
@@ -143,12 +143,12 @@ GAP_TOL = 1e-10
 HULL_MAX_ITER = 20000
 
 
-def _snap_member(x: np.ndarray, p: np.ndarray, gap: float):
+def _snap_member(x: np.ndarray, p: np.ndarray, gap: float, x_norm: float):
     """(x.copy(), gap + r) when the answer p reproduces x to rounding level,
-    r = ||x - p|| <= MEMBER_SNAP * max(1, ||x||); (p, gap) otherwise. The snap
-    widens the certificate by r and never hides it; a NaN r never snaps."""
-    r = float(np.linalg.norm(x - p))
-    if r <= MEMBER_SNAP * max(1.0, float(np.linalg.norm(x))):
+    r = ||x - p|| <= MEMBER_SNAP * max(1, x_norm), x_norm = ||x||; (p, gap)
+    otherwise. The snap widens the gap by r, never hides it; NaN never snaps."""
+    r = vec_norm(x - p)
+    if r <= MEMBER_SNAP * max(1.0, x_norm):
         return x.copy(), gap + r
     return p, gap
 
@@ -177,13 +177,13 @@ def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NonConvergenceError("nnls hit its iteration cap", max_iter, float("nan")) from None
 
 
-def _screened_nnls(G: np.ndarray, x: np.ndarray):
+def _screened_nnls(G: np.ndarray, x: np.ndarray, x_norm: float):
     """Column generation over the rows of G: (weights over all rows, p, G (x - p)).
 
     The first working set is the SCREEN_SIZE rows of largest cosine with x.
     Each round solves NNLS on the working set, prices every row by its
     pairing with x - p, and adds every row outside the set that pairs above
-    GAP_TOL * max(1, ||x||), the dual-feasibility tolerance of the
+    GAP_TOL * max(1, x_norm = ||x||), the dual-feasibility tolerance of the
     certificate. Each round adds a row or stops, so at worst the last round
     solves over all rows."""
     n = G.shape[0]
@@ -191,7 +191,7 @@ def _screened_nnls(G: np.ndarray, x: np.ndarray):
     cos = np.divide(G @ x, norms, out=np.full(n, -np.inf), where=norms > 0.0)
     work = np.zeros(n, dtype=bool)
     work[np.argpartition(-cos, SCREEN_SIZE - 1)[:SCREEN_SIZE]] = True
-    tol = GAP_TOL * max(1.0, float(np.linalg.norm(x)))
+    tol = GAP_TOL * max(1.0, x_norm)
     while True:
         W = np.flatnonzero(work)
         lam_w = _nnls(G[W].T, x)
@@ -230,18 +230,19 @@ def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     n = G.shape[0]
     if n == 0:
         return np.zeros_like(x), np.zeros(0), 0.0
+    x_norm = vec_norm(x)
     if n <= SCREEN_SIZE:
         lam = _nnls(G.T, x)
         p = G.T @ lam
         pair = G @ (x - p)
     else:
-        lam, p, pair = _screened_nnls(G, x)
+        lam, p, pair = _screened_nnls(G, x, x_norm)
     dual = float(max(0.0, pair.max()))
     comp = abs(float(lam @ pair))
     gap = dual + comp
-    if not _kkt_certified(dual, comp, float(np.linalg.norm(x))):
+    if not _kkt_certified(dual, comp, x_norm):
         raise NonConvergenceError("nnls KKT gap above tolerance", 0, gap)
-    p, gap = _snap_member(x, p, gap)
+    p, gap = _snap_member(x, p, gap, x_norm)
     return p, lam, gap
 
 
@@ -263,8 +264,11 @@ def hull_points(K: ConicHull) -> np.ndarray:
 
 
 def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
-    """Euclidean projection of x onto the spec K."""
+    """Euclidean projection of x onto the spec K. Raises ValueError when an
+    entry of x is NaN or infinite, for every spec."""
     x = K._check_point(x)
+    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+        raise ValueError("point has a non-finite entry")
 
     if isinstance(K, GallerySet):
         if K.project_fn is not None:
@@ -283,7 +287,7 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
 
     if isinstance(K, LinearSubspace):
         p = (x @ K.basis.T) @ K.basis if K.subspace_dim else np.zeros_like(x)
-        p, gap = _snap_member(x, p, 0.0)
+        p, gap = _snap_member(x, p, 0.0, vec_norm(x))
         return _result(x, p, "closed_form", 0, gap)
 
     if isinstance(K, SecondOrderCone):
@@ -332,7 +336,7 @@ def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> 
         # image of the inner cone under an isometry: push down, project, push up
         u = A.T @ x
         inner = project(K.inner, u, tol)
-        p, gap = _snap_member(x, A @ inner.point, inner.certificate_gap)
+        p, gap = _snap_member(x, A @ inner.point, inner.certificate_gap, vec_norm(x))
         # distance accounts for the component of x off the column span
         return _result(x, p, inner.method, inner.iterations, gap)
     # general full-column-rank map: accelerated projected gradient on
@@ -363,7 +367,7 @@ def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> 
                 break
     else:
         raise NonConvergenceError("linear-image projection KKT gap above tolerance", max_iter, gap)
-    p, gap = _snap_member(x, p, gap)
+    p, gap = _snap_member(x, p, gap, vec_norm(x))
     return _result(x, p, "hull_qp", it, gap)
 
 
@@ -421,11 +425,11 @@ def dykstra_projectors(
             target = y + prev
             p = proj(target)
             newcorr = target - p
-            change = max(change, float(np.linalg.norm(newcorr - prev)))
+            change = max(change, vec_norm(newcorr - prev))
             corrections[i] = newcorr
             y = p
         if change < tol_change:
-            return ProjectionResult(y, float(np.linalg.norm(x - y)), method, sweep, change)
+            return ProjectionResult(y, vec_norm(x - y), method, sweep, change)
     raise NonConvergenceError("Dykstra did not converge", max_iter, change)
 
 
@@ -539,7 +543,7 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     else:
         raise NonConvergenceError("project_hull hit its iteration cap", HULL_MAX_ITER, gap)
 
-    y, gap = _snap_member(x, y, gap)
+    y, gap = _snap_member(x, y, gap, vec_norm(x))
     res = _result(x, y, "hull_qp", iters, gap)
     if return_weights:
         full = np.zeros(m)

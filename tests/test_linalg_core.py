@@ -13,6 +13,7 @@ from conelab.linalg_core import (
     Tolerance,
     complement_basis,
     distance_to_affine,
+    _embed,
     _is_symmetric,
     _triangle,
     orthonormalize,
@@ -20,6 +21,7 @@ from conelab.linalg_core import (
     sym_to_vec,
     sym_vec_dim,
     unit_sphere_grid,
+    vec_norm,
     vec_to_sym,
 )
 
@@ -292,18 +294,157 @@ class TestStackedEmbedding:
         with pytest.raises(ValueError, match="not symmetric"):
             sym_to_vec(np.stack([huge, tiny]))
 
-    def test_layout_is_cached_read_only(self):
-        assert _triangle(3) is _triangle(3)
-        assert not any(a.flags.writeable for a in _triangle(3))
-        v = sym_to_vec(np.eye(3))
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_layout_is_cached_read_only(self, n):
+        layout = _triangle(n)
+        assert layout is _triangle(n)
+        assert len(layout) == 3
+        for a, b in zip(layout, _triangle(n)):
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+        X = np.eye(n)
+        v = sym_to_vec(X)
         v[0] = 7.0  # the caller owns the result; the cached layout is untouched
-        assert sym_to_vec(np.eye(3))[0] == 1.0
+        M = vec_to_sym(sym_to_vec(X))
+        M[0, 0] = 7.0
+        assert sym_to_vec(X).tobytes() == _old_sym_to_vec(X).tobytes()
+        assert vec_to_sym(sym_to_vec(X)).tobytes() == X.tobytes()
 
     def test_row_norms_match_single_norms(self):
         A = np.random.default_rng(3).standard_normal((200, 7)) * 10.0 ** np.arange(-3, 4)
         expected = [float(np.linalg.norm(a)) for a in A]
         assert row_norms(A).tolist() == expected
         assert row_norms(np.asfortranarray(A)).tolist() == expected
+
+
+def _old_sym_to_vec(X):
+    """The two-step embedding the cached gather replaced, kept as the oracle:
+    pick the upper triangle by row and column index, then scale the
+    off-diagonal entries by sqrt(2) in place."""
+    X = np.asarray(X, dtype=float)
+    iu, ju = np.triu_indices(X.shape[-1])
+    v = np.ascontiguousarray(X[..., iu, ju])
+    v[..., iu != ju] *= np.sqrt(2.0)
+    return v
+
+
+def _old_vec_to_sym(v):
+    """The scatter inverse the cached gather replaced, kept as the oracle."""
+    v = np.asarray(v, dtype=float)
+    n = int(round((np.sqrt(8 * v.shape[-1] + 1) - 1) / 2))
+    iu, ju = np.triu_indices(n)
+    X = np.zeros(v.shape[:-1] + (n, n))
+    w = v.copy()
+    w[..., iu != ju] /= np.sqrt(2.0)
+    X[..., iu, ju] = w
+    X[..., ju, iu] = w
+    return X
+
+
+# finite values at every scale, with both zeros; the specials are the quiet
+# NaN and the infinities numpy itself makes (a divide by 1.0 quiets a
+# signalling NaN, which no computation here produces)
+_ENTRIES = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+)
+_SPECIALS = st.one_of(_ENTRIES, st.sampled_from([np.nan, -np.nan, np.inf, -np.inf]))
+_LEAD = st.lists(st.integers(0, 3), min_size=0, max_size=2).map(tuple)
+
+
+@st.composite
+def _embed_inputs(draw):
+    """(..., n, n) symmetric stacks, n = 1..8, in C, Fortran or a
+    transposed-view layout."""
+    n = draw(st.integers(1, 8))
+    A = draw(arrays(np.float64, draw(_LEAD) + (n, n), elements=_ENTRIES))
+    X = np.triu(A) + np.swapaxes(np.triu(A, 1), -1, -2)  # exact mirror, -0.0 kept
+    layout = draw(st.sampled_from(["C", "F", "T"]))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "T":
+        X = np.swapaxes(X, -1, -2)
+    return X
+
+
+class TestEmbeddingMatchesOldFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(_embed_inputs())
+    def test_sym_to_vec_bytes(self, X):
+        v = sym_to_vec(X)
+        ref = _old_sym_to_vec(X)
+        assert v.shape == ref.shape and v.dtype == ref.dtype
+        assert v.tobytes() == ref.tobytes()
+        assert v.flags.c_contiguous
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: arrays(np.float64, (2, n, n), elements=_ENTRIES)))
+    def test_unchecked_embedding_reads_the_upper_triangle(self, A):
+        # the PSD projector's U diag(w) U^T is symmetric only up to rounding
+        assert _embed(A).tobytes() == _old_sym_to_vec(A).tobytes()
+        assert _embed(A[0]).tobytes() == _old_sym_to_vec(A[0]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(_LEAD, st.just(sym_vec_dim(n)))).flatmap(
+        lambda shape: arrays(np.float64, shape[0] + (shape[1],), elements=_SPECIALS)))
+    def test_vec_to_sym_bytes(self, v):
+        X = vec_to_sym(v)
+        ref = _old_vec_to_sym(v)
+        assert X.shape == ref.shape
+        assert X.tobytes() == ref.tobytes()
+        assert X.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_negative_zero_and_specials_keep_their_bits(self, n):
+        v = np.full(sym_vec_dim(n), -0.0)
+        v[::3] = np.nan
+        v[1::4] = -np.inf
+        X = vec_to_sym(v)
+        assert X.tobytes() == _old_vec_to_sym(v).tobytes()
+        assert np.signbit(X[~np.isnan(X)]).all()
+        Z = -np.zeros((2, n, n))
+        assert sym_to_vec(Z).tobytes() == _old_sym_to_vec(Z).tobytes()
+        assert np.signbit(sym_to_vec(Z)).all()
+
+    def test_public_map_still_checks_symmetry(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_to_vec(np.array([[1.0, 5.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_to_vec(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def _bits(a) -> bytes:
+    return np.float64(a).tobytes()
+
+
+class TestVecNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40), elements=_ENTRIES), st.integers(1, 4))
+    def test_equals_numpy_norm_bitwise(self, v, step):
+        for w in (v, v[::step], v[::-1]):
+            with np.errstate(over="ignore"):  # both overflow alike past 1e154
+                assert _bits(vec_norm(w)) == _bits(np.linalg.norm(w))
+                assert type(vec_norm(w)) is float
+
+    @pytest.mark.parametrize(
+        "v",
+        [np.zeros(0), np.array([-3.0]), np.array([-0.0]), np.array([3.0, 4.0]),
+         np.full(7, 1e200), np.array([1e200, -1e200, 1.0]), np.array([1e-200, 1e-200])],
+        ids=["empty", "one", "negative_zero", "pythagoras", "huge", "huge_mixed", "tiny"],
+    )
+    def test_edge_vectors(self, v):
+        with np.errstate(over="ignore", under="ignore"):
+            assert _bits(vec_norm(v)) == _bits(np.linalg.norm(v))
+            assert _bits(vec_norm(np.repeat(v, 2)[::2])) == _bits(np.linalg.norm(v))
+
+    def test_overflow_and_nan(self):
+        with np.errstate(over="ignore"):
+            assert vec_norm(np.full(4, 1e200)) == np.inf == np.linalg.norm(np.full(4, 1e200))
+        assert np.isnan(vec_norm(np.array([1.0, np.nan])))
+        assert np.isnan(np.linalg.norm(np.array([1.0, np.nan])))
+        assert vec_norm(np.array([np.inf, -1.0])) == np.inf
 
 
 class TestUnitSphereGrid:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, nnls
 
-from conelab import gallery, projection_engine
+from conelab import gallery, linalg_core, projection_engine
 from conelab.cone_algebra import (
     ConicHull,
     IntersectionCone,
@@ -310,7 +310,7 @@ class TestScreenedGenerators:
             ref, ref_lam = _one_solve(G, x)
             pair = G @ (x - ref)
             ref_gap = float(max(0.0, pair.max())) + abs(float(ref_lam @ pair))
-            ref, ref_gap = projection_engine._snap_member(x, ref, ref_gap)
+            ref, ref_gap = projection_engine._snap_member(x, ref, ref_gap, float(np.linalg.norm(x)))
             assert p.tobytes() == ref.tobytes()
             assert lam.tobytes() == ref_lam.tobytes()
             assert gap == ref_gap
@@ -381,6 +381,114 @@ class TestCompositeSpecs:
         # the image is still the orthant, so projections agree with clipping
         r = project(K, np.array([-3.0, 5.0]))
         np.testing.assert_allclose(r.point, [0.0, 5.0], atol=1e-8)
+
+
+class TestNonFinitePoints:
+    SPECS = [
+        NonnegativeOrthant(3),
+        SecondOrderCone(3),
+        PsdCone(2),
+        LinearSubspace(np.eye(3)[:1]),
+        PolyhedralCone(generators=np.eye(3)),
+        ProductCone(NonnegativeOrthant(1), SecondOrderCone(2)),
+    ]
+
+    @pytest.mark.parametrize("K", SPECS, ids=lambda K: type(K).__name__)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raises_for_every_spec(self, K, bad):
+        x = np.ones(3)
+        x[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            project(K, x)
+        with pytest.raises(ValueError, match="non-finite"):
+            moreau_decompose(K, x)
+
+    @pytest.mark.parametrize("K", [NonnegativeOrthant(6), SecondOrderCone(6), PsdCone(3)],
+                             ids=lambda K: type(K).__name__)
+    def test_huge_finite_points_pass_the_guard(self, K):
+        # x.x overflows, so the entries decide; the distance's norm overflows
+        # as np.linalg.norm does
+        x = np.array([1e200, -3e200, 2e200, 5e199, -1e200, 7e199])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert project(K, x).point.shape == x.shape
+
+    @pytest.mark.parametrize(
+        "K, member",
+        [(NonnegativeOrthant(6), np.full(6, 3e200)),
+         (PsdCone(3), sym_to_vec(np.diag([1e200, 2e200, 3e200])))],
+        ids=["orthant", "psd"],
+    )
+    def test_huge_members_come_back_bitwise(self, K, member):
+        with np.errstate(over="ignore"):
+            r = project(K, member)
+        assert r.point.tobytes() == member.tobytes() and r.distance == 0.0
+
+
+def _bits(a) -> bytes:
+    return np.float64(a).tobytes()
+
+
+def _reference_atom(K, x):
+    """The atoms' closed forms written out with np.linalg.norm and the
+    index-based embedding, the formulas the one-point path must match bitwise."""
+    if isinstance(K, NonnegativeOrthant):
+        p = np.maximum(x, 0.0)
+    elif isinstance(K, SecondOrderCone):
+        y, t = x[:-1], float(x[-1])
+        ny = float(np.linalg.norm(y))
+        if ny <= t:
+            p = x.copy()
+        elif ny <= -t:
+            p = np.zeros_like(x)
+        else:
+            c = (ny + t) / 2.0
+            p = np.append((c / ny) * y, c)
+    else:
+        n = K.n
+        iu, ju = np.triu_indices(n)
+        off = iu != ju
+        w = x.copy()
+        w[off] /= np.sqrt(2.0)
+        X = np.zeros((n, n))
+        X[iu, ju] = w
+        X[ju, iu] = w
+        ev, U = np.linalg.eigh(X)
+        if ev[0] >= 0.0:
+            p = x.copy()
+        else:
+            p = ((U * np.maximum(ev, 0.0)) @ U.T)[iu, ju]
+            p[off] *= np.sqrt(2.0)
+    return p, float(np.linalg.norm(x - p))
+
+
+class TestAtomsMatchReferenceFormulas:
+    @pytest.mark.parametrize(
+        "K", [NonnegativeOrthant(8), SecondOrderCone(10), PsdCone(1), PsdCone(5), PsdCone(8)],
+        ids=lambda K: f"{type(K).__name__}{K.dim}",
+    )
+    def test_bitwise_on_a_fixed_stream(self, K):
+        rng = np.random.default_rng(2011)
+        for k in range(400):
+            x = rng.standard_normal(K.dim) * 10.0 ** rng.uniform(-3, 3)
+            if k % 4 == 0:
+                x = _reference_atom(K, x)[0]  # at or next to the boundary
+            r = project(K, x)
+            p, d = _reference_atom(K, x)
+            assert r.point.tobytes() == p.tobytes()
+            assert _bits(r.distance) == _bits(d)
+
+    def test_psd_projector_skips_the_symmetry_check(self, monkeypatch):
+        calls = []
+        real = linalg_core._is_symmetric
+        monkeypatch.setattr(linalg_core, "_is_symmetric", lambda X: calls.append(1) or real(X))
+        sym_to_vec(np.eye(2))
+        assert len(calls) == 1  # the spy sees the public map's check
+        calls.clear()
+        K = PsdCone(5)
+        X = np.random.default_rng(4).standard_normal((200, K.dim)) * 1.5
+        clipped = sum(moreau_decompose(K, x).polar_part.any() for x in X)
+        assert clipped > 150
+        assert calls == []
 
 
 class TestMoreau:
