@@ -5,6 +5,12 @@ A face of a closed convex cone equals the cone intersected with the face's
 linear span, so a FaceHandle stores an orthonormal span basis together with a
 membership rule and, where available, an exact projector. Faces of the compact
 gallery sets reuse the same handle with an affine basepoint.
+
+Only the minimisation route of ``dual_sum_membership`` (faces without a
+closed-form rule) needs scipy; it imports ``scipy.optimize.minimize`` on first
+use, so that the rest of the face calculus does not pay for scipy's import (a
+few tenths of a second and about 40 MB per process). Faces of generated
+polyhedral cones reach scipy's ``nnls`` through ``projection_engine``.
 """
 from __future__ import annotations
 
@@ -12,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .cone_algebra import (
     ConeSpec,
@@ -716,9 +721,11 @@ def dual_sum_membership(K: ConeSpec, F: FaceHandle, s, tol: Tolerance = DEFAULT_
         r = w - pw
         return float(r @ r), -2.0 * (perp @ r)
 
+    from scipy.optimize import minimize
+
     c0 = perp @ s
-    out = optimize.minimize(phi_and_grad, c0, jac=True, method="L-BFGS-B",
-                            options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12})
+    out = minimize(phi_and_grad, c0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": 500, "ftol": 1e-18, "gtol": 1e-12})
     w = s - out.x @ perp
     u = project(dual, w).point
     v = s - u

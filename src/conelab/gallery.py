@@ -27,6 +27,14 @@ calculus:
 Registered object names (also addressable from the command line):
 ``nice_not_amenable_C``, ``nice_not_amenable_K``, ``cylinder_K_tilde``,
 ``sturm_slice``.
+
+Of this module's own code only the exposing normals need scipy:
+``exposing_normal_u`` (and what calls it, such as ``exposing_normal`` and the
+circles' singleton faces) imports ``scipy.optimize.minimize_scalar`` on first
+use, so that the probes and closed forms, which run on numpy alone, do not
+pay for scipy's import (a few tenths of a second and about 40 MB per process).
+Projections onto the conic hulls reach scipy's ``nnls`` through
+``projection_engine``.
 """
 from __future__ import annotations
 
@@ -34,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .cone_algebra import (
     ConicHull,
@@ -206,6 +213,8 @@ def _normal_ratio(s, t):
 def _ratio_grid_max(t: float, n_grid: int):
     """Maximum of the arc ratio: grid scan plus local polish around the top
     few maxima (the peak sharpens near the seam, so one cell is not enough)."""
+    from scipy.optimize import minimize_scalar
+
     s = np.linspace(0.0, np.pi, n_grid + 2)[1:-1]
     r = _normal_ratio(s, t)
     order = np.argsort(r)[::-1][:5]
@@ -231,6 +240,8 @@ def _min_separation_slack(t: float, u: float, n: int):
     comparison when u is large. Positive everywhere means p(t) strictly
     separates alpha(t) from the whole arc.
     """
+    from scipy.optimize import minimize_scalar
+
     s = np.linspace(0.0, np.pi, n + 2)[1:-1]
     slack = u * (1.0 - gamma_height(s)) - (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0)
     j = int(np.argmin(slack))
@@ -256,6 +267,8 @@ def exposing_normal_u(t: float, n_grid: int = 4096, margin: float = 1e-3,
     Raises VerificationGridError if the separation fails even after one
     refinement of the maximization grid.
     """
+    from scipy.optimize import minimize_scalar
+
     t = float(t)
     if not 0.0 < t < 2.0 * np.pi:
         raise ValueError("parameter must lie strictly between 0 and 2*pi")
@@ -663,8 +676,11 @@ def _project_bicone_dual(s: np.ndarray) -> np.ndarray:
     The constraint is the epigraph of the norm N(p, q, r) = ||(p, q)|| + |r|,
     whose dual norm is max(||(p, q)||, |r|). Inside the epigraph: identity.
     Inside the polar: zero. Otherwise the projection is (prox of lam * N,
-    w + lam) where lam solves the scalar equation N(prox) = w + lam, which is
-    strictly decreasing in lam; a bracketed root find gives machine accuracy.
+    w + lam) where lam solves N(prox) = w + lam. The prox shrinks ||(p, q)||
+    and |r| by lam each, down to zero, so the defect N(prox) - (w + lam) is
+    piecewise linear and decreasing in lam with one kink, at the smaller of
+    the two; the root is lam = (||(p, q)|| + |r| - w) / 3 up to the kink and
+    (max(||(p, q)||, |r|) - w) / 2 past it.
     """
     s = np.asarray(s, dtype=float)
     v, w = s[:3], float(s[3])
@@ -674,21 +690,11 @@ def _project_bicone_dual(s: np.ndarray) -> np.ndarray:
         return s.copy()
     if max(nv2, nr) <= -w:
         return np.zeros_like(s)
-
-    def shrunk(lam):
-        a = max(nv2 - lam, 0.0)
-        b = max(nr - lam, 0.0)
-        return a, b
-
-    def gap(lam):
-        a, b = shrunk(lam)
-        return a + b - (w + lam)
-
-    hi = max(nv2, nr, 1.0)
-    while gap(hi) > 0.0:
-        hi *= 2.0
-    lam = brentq(gap, 0.0, hi, xtol=1e-15, maxiter=200)
-    a, b = shrunk(lam)
+    lam = (nv2 + nr - w) / 3.0
+    if lam > min(nv2, nr):
+        lam = (max(nv2, nr) - w) / 2.0
+    a = max(nv2 - lam, 0.0)
+    b = max(nr - lam, 0.0)
     out = np.zeros(4)
     if nv2 > 0.0:
         out[:2] = (a / nv2) * v[:2]

@@ -9,6 +9,12 @@ there are many), and hulls of point clouds through Wolfe's minimum-norm-point
 method. Both finite kernels either return an answer whose
 optimality certificate is within tolerance or raise NonConvergenceError.
 
+Only the generator kernel, `project_conic_generators` (behind the projections
+onto generated PolyhedralCone and ConicHull specs), needs scipy. Its `nnls`
+imports `scipy.optimize` on first call, not at module import: that import costs
+a few tenths of a second and about 40 MB per process, and the closed forms,
+Dykstra and the hull kernel run on numpy alone.
+
 A point that is already in the cone comes back unchanged: the orthant,
 halfspace and second-order-cone closed forms and the PSD eigenvalue clip return
 the input's values when nothing is clipped, and the subspace, orthonormal
@@ -23,7 +29,6 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .cone_algebra import (
     ConeSpec,
@@ -84,8 +89,19 @@ class ProjectionResult:
 _METHOD_RANK = {"closed_form": 0, "eigen_clip": 1, "hull_qp": 2, "dykstra": 3}
 
 
+def _norm(v: np.ndarray) -> float:
+    """vec_norm(v), bitwise, unless v has finite entries and v.v overflows:
+    then the norm of v / 2^e, times 2^e, with 2^e just above max |v_i|. A
+    power-of-two scale is exact, so only the overflowing square is avoided."""
+    n = vec_norm(v)
+    if n == math.inf and np.isfinite(v).all():
+        e = math.frexp(float(np.abs(v).max()))[1]
+        n = float(np.ldexp(vec_norm(np.ldexp(v, -e)), e))
+    return n
+
+
 def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: float = 0.0) -> ProjectionResult:
-    return ProjectionResult(p, vec_norm(x - p), method, iters, gap)
+    return ProjectionResult(p, _norm(x - p), method, iters, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +111,7 @@ def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: floa
 
 def _project_soc(x: np.ndarray) -> np.ndarray:
     y, t = x[:-1], float(x[-1])
-    ny = vec_norm(y)
+    ny = _norm(y)
     if ny <= t:
         return x.copy()
     if ny <= -t:
@@ -118,7 +134,7 @@ def _project_psd(x: np.ndarray) -> np.ndarray:
 def project_scaled_soc(x: np.ndarray, slope: float) -> np.ndarray:
     """Project onto {(v, h) : ||v|| <= slope * h} in closed form."""
     v, h = x[:-1], float(x[-1])
-    nv = vec_norm(v)
+    nv = _norm(v)
     if nv <= slope * h:
         return x.copy()
     if slope * nv <= -h:
@@ -165,6 +181,13 @@ def _kkt_certified(dual: float, comp: float, scale: float) -> bool:
 # Working-set size of the screened generator solve: a cone with more
 # generators is first solved on the SCREEN_SIZE rows that pair best with x.
 SCREEN_SIZE = 64
+
+
+def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None):
+    """scipy.optimize.nnls, imported on first call (see the module docstring)."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    return scipy_nnls(A, b, maxiter=maxiter)
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:

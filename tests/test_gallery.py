@@ -278,6 +278,41 @@ class TestBodyRefinement:
             assert rounds == [0.0]
 
 
+def _bicone_reference(s):
+    """Projection onto {(p, q, r, w) : ||(p, q)|| + |r| <= w} through the
+    prox of lam * (||(p, q)|| + |r|), with lam found by bisection."""
+    nv2, nr, w = float(np.hypot(s[0], s[1])), abs(float(s[2])), float(s[3])
+    if nv2 + nr <= w:
+        return s.copy()
+    if max(nv2, nr) <= -w:
+        return np.zeros(4)
+
+    def defect(lam):
+        return max(nv2 - lam, 0.0) + max(nr - lam, 0.0) - (w + lam)
+
+    lo, hi = 0.0, max(nv2, nr) + abs(w)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if defect(mid) > 0.0 else (lo, mid)
+    lam = 0.5 * (lo + hi)
+    out = np.zeros(4)
+    if nv2 > 0.0:
+        out[:2] = max(nv2 - lam, 0.0) / nv2 * s[:2]
+    out[2] = np.sign(s[2]) * max(nr - lam, 0.0)
+    out[3] = w + lam
+    return out
+
+
+def _assert_bicone_moreau(s, p):
+    """P(s) lies in the set, s - P(s) in its polar {max(||(p, q)||, |r|) <= -w},
+    and the two are orthogonal."""
+    scale = max(float(np.linalg.norm(s)), 1e-300)
+    q = s - p
+    assert np.hypot(p[0], p[1]) + abs(p[2]) <= p[3] + 1e-13 * scale
+    assert max(np.hypot(q[0], q[1]), abs(q[2])) <= -q[3] + 1e-13 * scale
+    assert abs(p @ q) <= 1e-13 * scale * scale
+
+
 @pytest.fixture(scope="module")
 def C():
     return G.body(2048)
@@ -390,6 +425,40 @@ class TestCylinderObjects:
             assert np.linalg.norm(p[:2]) + abs(p[2]) <= p[3] + 1e-10
             inner = (feas - p) @ (x - p)
             assert inner.max() <= 1e-10
+
+    @pytest.mark.parametrize(
+        "s, branch",
+        [
+            ([3.0, 4.0, 4.0, 1.0], "before the kink"),
+            ([3.0, 4.0, 2.0, 1.0], "at the kink"),
+            ([3.0, 4.0, 0.5, 1.0], "past the kink"),
+            ([0.0, 0.0, 2.0, -1.0], "past the kink, (p, q) = 0"),
+            ([1.0, 0.0, 1.0, 3.0], "identity"),
+            ([1.0, 0.0, 0.5, -2.0], "zero"),
+        ],
+    )
+    def test_bicone_dual_projector_matches_bisection(self, s, branch):
+        s = np.array(s)
+        p = G._project_bicone_dual(s)
+        np.testing.assert_allclose(p, _bicone_reference(s), rtol=0.0, atol=1e-14)
+        _assert_bicone_moreau(s, p)
+        if branch == "identity":
+            assert p.tobytes() == s.tobytes()
+
+    def test_bicone_dual_projector_over_decades(self):
+        rng = np.random.default_rng(9)
+        pieces = set()
+        for _ in range(2000):
+            s = rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8)
+            p = G._project_bicone_dual(s)
+            nv2, nr = np.linalg.norm(s[:2]), abs(s[2])
+            lam = p[3] - s[3]
+            if lam > 0.0 and p.any():
+                pieces.add("before" if lam < min(nv2, nr) else "past")
+            scale = np.linalg.norm(s)
+            assert np.abs(p - _bicone_reference(s)).max() <= 1e-13 * scale
+            _assert_bicone_moreau(s, p)
+        assert pieces == {"before", "past"}
 
     def test_dual_sum_set_projector_frozen(self, cyl):
         p = cyl.dual_sum_set.project_fn(np.array([3.0, 4.0, -1.0, 2.0])).point

@@ -1,4 +1,5 @@
 """Tests for closed-form projections, generator cones, hulls, and Dykstra."""
+import math
 from functools import lru_cache
 from itertools import combinations
 
@@ -406,17 +407,32 @@ class TestNonFinitePoints:
     @pytest.mark.parametrize("K", [NonnegativeOrthant(6), SecondOrderCone(6), PsdCone(3)],
                              ids=lambda K: type(K).__name__)
     def test_huge_finite_points_pass_the_guard(self, K):
-        # x.x overflows, so the entries decide; the distance's norm overflows
-        # as np.linalg.norm does
+        # x.x overflows, so the entries decide
         x = np.array([1e200, -3e200, 2e200, 5e199, -1e200, 7e199])
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert project(K, x).point.shape == x.shape
+        with np.errstate(over="ignore"):
+            r = project(K, x)
+        assert r.point.shape == x.shape
+        assert np.isfinite(r.point).all() and math.isfinite(r.distance)
+
+    @pytest.mark.parametrize("x", [[1e200, -3e200, 2e200], [3e200, 4e200, -2e200],
+                                   [-1e300, 5e299, 2e299]])
+    def test_soc_with_overflowing_norm_is_the_scaled_projection(self, x):
+        # a cone projection commutes with scaling by 2^k, which is exact, and
+        # at 2^-600 nothing overflows
+        x = np.array(x)
+        small = project(SecondOrderCone(3), np.ldexp(x, -600))
+        with np.errstate(over="ignore"):
+            r = project(SecondOrderCone(3), x)
+            p = project_scaled_soc(x, 1.0)
+        assert r.point.tobytes() == np.ldexp(small.point, 600).tobytes() == p.tobytes()
+        assert r.distance == math.ldexp(small.distance, 600)
 
     @pytest.mark.parametrize(
         "K, member",
         [(NonnegativeOrthant(6), np.full(6, 3e200)),
+         (SecondOrderCone(6), np.array([0.0, 1e200, 0.0, 0.0, 0.0, 2e200])),
          (PsdCone(3), sym_to_vec(np.diag([1e200, 2e200, 3e200])))],
-        ids=["orthant", "psd"],
+        ids=["orthant", "soc", "psd"],
     )
     def test_huge_members_come_back_bitwise(self, K, member):
         with np.errstate(over="ignore"):
