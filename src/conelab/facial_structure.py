@@ -122,10 +122,11 @@ class FaceHandle:
 
 
 # Face kinds whose exact projector is closed-form and maps stacks to stacks;
-# "diagonal" is the diagonal PSD(2) face of the projections_dim4 check.
-_STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range", "diagonal"})
+# "diagonal" is the diagonal PSD(2) face of the projections_dim4 check and
+# "seam_ray" the gallery's seam-ray faces.
+_STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range", "diagonal", "seam_ray"})
 # Face kinds whose membership maps a stack to one verdict per row.
-_STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam_ray", "seam_edge"}
+_STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam_edge"}
 
 
 def face_contains(F: FaceHandle, X, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -1090,8 +1090,10 @@ def seam_ray_faces(K_tilde: GallerySet) -> tuple:
             return (coef >= -eps) & (row_norms(coef[..., None] * unit - x) <= eps)
 
         def projector(x, unit=unit):
-            coef = max(float(unit @ np.asarray(x, dtype=float)), 0.0)
-            return coef * unit
+            # one point or a (..., 4) stack; each row is max(float(unit @ x),
+            # 0.0) * unit bitwise, so a -0.0 or NaN coefficient passes through
+            coef = row_dots(np.asarray(x, dtype=float), unit)
+            return np.where(coef < 0.0, 0.0, coef)[..., None] * unit
 
         def sampler(n, rng, unit=unit):
             return rng.gamma(2.0, 1.0, size=(n, 1)) * unit

@@ -303,9 +303,11 @@ def vec_to_sym(v: np.ndarray) -> np.ndarray:
 
 
 def vec_norm(v: np.ndarray) -> float:
-    """np.linalg.norm of a float vector, bitwise: numpy's 1-d path, undispatched."""
+    """np.linalg.norm of a float vector, bitwise: numpy's 1-d path, undispatched.
+    np.vdot runs the same ddot on the raveled vector without the overflow
+    warning of v.dot(v) past a norm of about 1.3e154 (the norm is then inf)."""
     v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    return math.sqrt(np.vdot(v, v))
 
 
 def row_norms(A: np.ndarray) -> np.ndarray:

@@ -92,11 +92,13 @@ _METHOD_RANK = {"closed_form": 0, "eigen_clip": 1, "hull_qp": 2, "dykstra": 3}
 def _norm(v: np.ndarray) -> float:
     """vec_norm(v), bitwise, unless v has finite entries and v.v overflows:
     then the norm of v / 2^e, times 2^e, with 2^e just above max |v_i|. A
-    power-of-two scale is exact, so only the overflowing square is avoided."""
+    power-of-two scale is exact, so only the overflowing square is avoided;
+    a norm past the float range is inf."""
     n = vec_norm(v)
     if n == math.inf and np.isfinite(v).all():
         e = math.frexp(float(np.abs(v).max()))[1]
-        n = float(np.ldexp(vec_norm(np.ldexp(v, -e)), e))
+        with np.errstate(over="ignore"):
+            n = float(np.ldexp(vec_norm(np.ldexp(v, -e)), e))
     return n
 
 
@@ -116,7 +118,13 @@ def _project_soc(x: np.ndarray) -> np.ndarray:
         return x.copy()
     if ny <= -t:
         return np.zeros_like(x)
-    c = (ny + t) / 2.0
+    if ny == math.inf:
+        # ||y|| is past the float range though y is finite (project rejects a
+        # non-finite point): project x / 2^k, 2^k >= sqrt(len(y)), and scale
+        # back; a power-of-two scale is exact
+        k = y.size.bit_length()
+        return np.ldexp(_project_soc(np.ldexp(x, -k)), k)
+    c = ny / 2.0 + t / 2.0  # (ny + t) / 2 bitwise, and finite up to the float max
     out = np.empty_like(x)
     out[:-1] = (c / ny) * y
     out[-1] = c
@@ -140,6 +148,12 @@ def project_scaled_soc(x: np.ndarray, slope: float) -> np.ndarray:
     if slope * nv <= -h:
         return np.zeros_like(x)
     hstar = (slope * nv + h) / (slope * slope + 1.0)
+    if not math.isfinite(slope * hstar) and np.isfinite(x).all():
+        # ||v||, slope ||v|| + h or slope h* is past the float range: project
+        # x / 2^k, with 2^k >= slope sqrt(len(v)) and a factor 2 to spare,
+        # and scale back; a power-of-two scale is exact
+        k = v.size.bit_length() + max(0, math.frexp(slope)[1]) + 1
+        return np.ldexp(project_scaled_soc(np.ldexp(x, -k), slope), k)
     out = np.empty_like(x)
     out[:-1] = (slope * hstar / nv) * v
     out[-1] = hstar
@@ -205,10 +219,11 @@ def _screened_nnls(G: np.ndarray, x: np.ndarray, x_norm: float):
 
     The first working set is the SCREEN_SIZE rows of largest cosine with x.
     Each round solves NNLS on the working set, prices every row by its
-    pairing with x - p, and adds every row outside the set that pairs above
-    GAP_TOL * max(1, x_norm = ||x||), the dual-feasibility tolerance of the
-    certificate. Each round adds a row or stops, so at worst the last round
-    solves over all rows."""
+    pairing with x - p, and re-solves with the SCREEN_SIZE most violating
+    rows outside the set: those that pair above GAP_TOL * max(1, x_norm =
+    ||x||), the dual-feasibility tolerance of the certificate, largest
+    pairing first. Each round adds a row or stops, so at worst the last
+    round solves over all rows."""
     n = G.shape[0]
     norms = np.sqrt(np.einsum("ij,ij->i", G, G))
     cos = np.divide(G @ x, norms, out=np.full(n, -np.inf), where=norms > 0.0)
@@ -220,10 +235,12 @@ def _screened_nnls(G: np.ndarray, x: np.ndarray, x_norm: float):
         lam_w = _nnls(G[W].T, x)
         p = lam_w @ G[W]
         pair = G @ (x - p)
-        violators = ~work & (pair > tol)
-        if not violators.any():
+        violators = np.flatnonzero(~work & (pair > tol))
+        if violators.size == 0:
             break
-        work |= violators
+        if violators.size > SCREEN_SIZE:
+            violators = violators[np.argpartition(-pair[violators], SCREEN_SIZE - 1)[:SCREEN_SIZE]]
+        work[violators] = True
     lam = np.zeros(n)
     lam[W] = lam_w
     return lam, p, pair
@@ -238,8 +255,9 @@ def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     rows, kkt_gap). With at most SCREEN_SIZE generators this is one solve
     over all of them. With more it is a screened column-generation solve:
     screen the SCREEN_SIZE generators of largest cosine with x, solve on
-    them, price every generator by <g_i, x - p> and re-solve with each one
-    outside the set that violates dual feasibility, until none does. The
+    them, price every generator by <g_i, x - p> and re-solve with the
+    SCREEN_SIZE most violating generators outside the set (largest pairing
+    above the dual-feasibility tolerance) added, until none violates. The
     certificate is then taken over all generators, as for one solve.
     Raises NonConvergenceError when a solve hits its cap of 3 iterations
     per generator in its set or a term of the gap is above tolerance (see
@@ -290,7 +308,9 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     """Euclidean projection of x onto the spec K. Raises ValueError when an
     entry of x is NaN or infinite, for every spec."""
     x = K._check_point(x)
-    if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
+    # vdot is the ddot of x.dot(x) without its overflow warning for a finite
+    # point of norm above about 1.3e154; the entries decide then
+    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
         raise ValueError("point has a non-finite entry")
 
     if isinstance(K, GallerySet):
@@ -476,10 +496,12 @@ def dykstra_intersection(
 
 def _fw_gap(points: np.ndarray, x: np.ndarray, y: np.ndarray):
     """Frank-Wolfe duality gap of min ||x - conv(points)|| at the feasible y,
-    plus the most violating vertex index."""
-    scores = 2.0 * (points - y) @ (x - y)
+    2 max_j <p_j - y, x - y>, plus the most violating vertex index. Only the
+    winning score is doubled: a factor of 2 is exact, so this is bitwise the
+    doubled scores' maximum."""
+    scores = (points - y) @ (x - y)
     j = int(np.argmax(scores))
-    return max(0.0, float(scores[j])), j
+    return max(0.0, 2.0 * float(scores[j])), j
 
 
 def _affine_weights(Ps: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -487,7 +509,10 @@ def _affine_weights(Ps: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     The constraint is eliminated, mu = (1 - sum(nu), nu) with nu the least
     squares solution of (Ps[1:] - Ps[0])^T nu = x - Ps[0], so the conditioning
-    of the support is not squared as in the bordered normal equations."""
+    of the support is not squared as in the bordered normal equations. One
+    row is its own affine hull: its weight is exactly 1."""
+    if Ps.shape[0] == 1:
+        return np.ones(1)
     nu = np.linalg.lstsq((Ps[1:] - Ps[0]).T, x - Ps[0], rcond=None)[0]
     return np.concatenate([[1.0 - nu.sum()], nu])
 
@@ -539,7 +564,8 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
         lam_s = w[support] / total
     gap = np.inf
     for iters in range(1, HULL_MAX_ITER + 1):
-        mu = _affine_weights(P[support], x)
+        Ps = P[support]
+        mu = _affine_weights(Ps, x)
         if mu.min() < -1e-12:
             # minor cycle: move from lam_s toward mu until a weight hits zero
             d = mu - lam_s
@@ -553,7 +579,7 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
             continue
         lam_s = np.maximum(mu, 0.0)
         lam_s /= lam_s.sum()
-        y = lam_s @ P[support]
+        y = lam_s @ Ps
         gap, j = _fw_gap(P, x, y)
         if gap <= GAP_TOL:
             break

@@ -149,10 +149,14 @@ def _stack_face(kind: str, seed: int) -> FaceHandle:
 
 
 def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
-    """One-point projector formulas of the soc_ray and psd_range faces."""
+    """One-point projector formulas of the soc_ray, seam_ray and psd_range
+    faces."""
     if F.descriptor["kind"] == "soc_ray":
         g = F.descriptor["generator"]
         return max(0.0, float(g @ x)) * g
+    if F.descriptor["kind"] == "seam_ray":
+        unit = F.span_basis[0]
+        return max(float(unit @ x), 0.0) * unit
     U = F.descriptor["range_basis"]
     w, Q = np.linalg.eigh(U.T @ vec_to_sym(x) @ U)
     return sym_to_vec(U @ ((Q * np.maximum(w, 0.0)) @ Q.T) @ U.T)
@@ -161,7 +165,7 @@ def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
 class TestStackedProjection:
     @settings(max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", "poly_gens"]),
+        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", "seam_ray", "poly_gens"]),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
@@ -181,8 +185,22 @@ class TestStackedProjection:
         assert face_projection(F, X[:0]).shape == (0, F.ambient_dim)
         rows = [face_projection(F, x) for x in X]
         assert P.tobytes() == b"".join(r.tobytes() for r in rows)
-        if kind in ("soc_ray", "psd_range"):
+        if kind in ("soc_ray", "seam_ray", "psd_range"):
             assert P.tobytes() == b"".join(_reference_projection(F, x).tobytes() for x in X)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_seam_ray_keeps_signed_zero_and_nan_rows(self, which):
+        # max(c, 0.0) keeps a -0.0 or NaN coefficient c, so the stack must too
+        F = gallery.seam_ray_faces(gallery.cylinder_hull_objects().hull)[which]
+        unit = F.span_basis[0]
+        X = np.array([
+            -unit, np.zeros(4), -np.zeros(4), [0.0, 1.0, 0.0, 0.0], [0.0, -0.0, 0.0, -0.0],
+            [np.nan, 0.0, 1.0, 1.0], [np.inf, 0.0, 0.0, 1.0], [-np.inf, 0.0, 0.0, 1.0], 3.0 * unit,
+        ])
+        with np.errstate(invalid="ignore"):
+            P = face_projection(F, X)
+            ref = [_reference_projection(F, x) for x in X]
+        assert P.tobytes() == b"".join(r.tobytes() for r in ref)
 
     def test_far_filter_matches_point_loop(self):
         K = PsdCone(3)

@@ -5,6 +5,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import minimize, nnls
 
 from conelab import gallery, linalg_core, projection_engine
@@ -299,6 +302,44 @@ class TestScreenedGenerators:
         ref, _ = _one_solve(G, x)
         assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(x)
 
+    @pytest.mark.parametrize("density", [512, 2048], ids=["1536", "6209"])
+    def test_each_round_adds_at_most_screen_size(self, density, monkeypatch):
+        G = _gallery_generators(density, hint=1.1)
+        sizes = []
+
+        def spy(A_, b, maxiter=None):
+            sizes.append(A_.shape[1])
+            return nnls(A_, b, maxiter=maxiter)
+
+        monkeypatch.setattr(projection_engine, "nnls", spy)
+        rng = np.random.default_rng(density)
+        grew = 0
+        for x in _queries(G, rng, 40):
+            sizes.clear()
+            project_conic_generators(G, x)
+            steps = np.diff(sizes)
+            assert sizes[0] == projection_engine.SCREEN_SIZE
+            assert np.all((steps >= 1) & (steps <= projection_engine.SCREEN_SIZE))
+            grew += int(np.any(steps == projection_engine.SCREEN_SIZE))
+        assert grew > 0  # some round had more violators than the cap
+
+    def test_slice_stress_agrees_with_one_full_solve(self):
+        # queries of verify_slice_bound on the 1,536-generator gallery slice:
+        # points around the slice's centroid, inside its hyperplane
+        G = _gallery_generators(512)
+        rng = np.random.default_rng(400)
+        center = G.mean(axis=0)
+        r = float(np.linalg.norm(G, axis=1).max())
+        coords = rng.standard_normal((400, 3))
+        coords *= rng.uniform(0.0, 3.0 * r, (400, 1)) / np.linalg.norm(coords, axis=1, keepdims=True)
+        for x in center + np.column_stack([coords, np.zeros(400)]):
+            p, lam, gap = project_conic_generators(G, x)
+            ref, _ = _one_solve(G, x)
+            s = max(1.0, float(np.linalg.norm(x)))
+            assert np.linalg.norm(p - ref) <= 1e-12 * s
+            assert np.all(lam >= 0.0) and gap <= 1e-10 * s * s
+            assert (G @ (x - p)).max() <= 1e-10 * s
+
     @pytest.mark.parametrize("n", [1, 2, 5, 40, 64])
     def test_few_generators_take_the_single_solve_bitwise(self, n):
         rng = np.random.default_rng(n)
@@ -409,21 +450,22 @@ class TestNonFinitePoints:
     def test_huge_finite_points_pass_the_guard(self, K):
         # x.x overflows, so the entries decide
         x = np.array([1e200, -3e200, 2e200, 5e199, -1e200, 7e199])
-        with np.errstate(over="ignore"):
-            r = project(K, x)
+        r = project(K, x)
         assert r.point.shape == x.shape
         assert np.isfinite(r.point).all() and math.isfinite(r.distance)
 
     @pytest.mark.parametrize("x", [[1e200, -3e200, 2e200], [3e200, 4e200, -2e200],
-                                   [-1e300, 5e299, 2e299]])
+                                   [-1e300, 5e299, 2e299], [1e308, -1e308, 1e308],
+                                   [1.5e308, 1.5e308, 1e308]])
     def test_soc_with_overflowing_norm_is_the_scaled_projection(self, x):
         # a cone projection commutes with scaling by 2^k, which is exact, and
-        # at 2^-600 nothing overflows
+        # at 2^-600 nothing overflows; near the float max (ny + t) / 2 and
+        # ||y|| itself would
         x = np.array(x)
         small = project(SecondOrderCone(3), np.ldexp(x, -600))
-        with np.errstate(over="ignore"):
-            r = project(SecondOrderCone(3), x)
-            p = project_scaled_soc(x, 1.0)
+        r = project(SecondOrderCone(3), x)
+        p = project_scaled_soc(x, 1.0)
+        assert np.isfinite(r.point).all()
         assert r.point.tobytes() == np.ldexp(small.point, 600).tobytes() == p.tobytes()
         assert r.distance == math.ldexp(small.distance, 600)
 
@@ -435,8 +477,7 @@ class TestNonFinitePoints:
         ids=["orthant", "soc", "psd"],
     )
     def test_huge_members_come_back_bitwise(self, K, member):
-        with np.errstate(over="ignore"):
-            r = project(K, member)
+        r = project(K, member)
         assert r.point.tobytes() == member.tobytes() and r.distance == 0.0
 
 
@@ -479,7 +520,8 @@ def _reference_atom(K, x):
 
 class TestAtomsMatchReferenceFormulas:
     @pytest.mark.parametrize(
-        "K", [NonnegativeOrthant(8), SecondOrderCone(10), PsdCone(1), PsdCone(5), PsdCone(8)],
+        "K", [NonnegativeOrthant(8), SecondOrderCone(3), SecondOrderCone(10), PsdCone(1),
+              PsdCone(5), PsdCone(8)],
         ids=lambda K: f"{type(K).__name__}{K.dim}",
     )
     def test_bitwise_on_a_fixed_stream(self, K):
@@ -492,6 +534,23 @@ class TestAtomsMatchReferenceFormulas:
             p, d = _reference_atom(K, x)
             assert r.point.tobytes() == p.tobytes()
             assert _bits(r.distance) == _bits(d)
+
+    @pytest.mark.parametrize("slope", [1.0, np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
+    @pytest.mark.parametrize("d", [3, 10])
+    def test_scaled_soc_bitwise_on_a_fixed_stream(self, d, slope):
+        rng = np.random.default_rng(2011)
+        for _ in range(400):
+            x = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+            v, h = x[:-1], float(x[-1])
+            nv = float(np.linalg.norm(v))
+            if nv <= slope * h:
+                ref = x
+            elif slope * nv <= -h:
+                ref = np.zeros(d)
+            else:
+                hstar = (slope * nv + h) / (slope * slope + 1.0)
+                ref = np.append((slope * hstar / nv) * v, hstar)
+            assert project_scaled_soc(x, slope).tobytes() == ref.tobytes()
 
     def test_psd_projector_skips_the_symmetry_check(self, monkeypatch):
         calls = []
@@ -681,6 +740,116 @@ class TestHullAgainstBruteForce:
         P = _TINY_CLOUDS["R2_m4"]
         with pytest.raises(ValueError, match="start"):
             project_hull(P, np.array([3.0, 1.0]), start=start)
+
+
+def _old_project_hull(P, x, start=None):
+    """Wolfe's loop as it was written before its dead work was cut (lstsq on
+    a one-row support, the doubled score vector, two gathers of the
+    support): the bitwise reference for project_hull. Returns the result and
+    the weights over all rows."""
+    m = P.shape[0]
+    if start is None:
+        support = [int(np.argmin(np.linalg.norm(P - x, axis=1)))]
+        lam_s = np.ones(1)
+    else:
+        support = np.flatnonzero(start).tolist()
+        lam_s = start[support] / float(start.sum())
+    for iters in range(1, projection_engine.HULL_MAX_ITER + 1):
+        Ps = P[support]
+        nu = np.linalg.lstsq((Ps[1:] - Ps[0]).T, x - Ps[0], rcond=None)[0]
+        mu = np.concatenate([[1.0 - nu.sum()], nu])
+        if mu.min() < -1e-12:
+            d = mu - lam_s
+            mask = d < -1e-15
+            t_star = float(np.min(-lam_s[mask] / d[mask]))
+            lam_s = np.maximum(lam_s + min(1.0, t_star) * d, 0.0)
+            keep = lam_s > 1e-14
+            support = [s for s, k_ in zip(support, keep) if k_]
+            lam_s = lam_s[keep]
+            lam_s /= lam_s.sum()
+            continue
+        lam_s = np.maximum(mu, 0.0)
+        lam_s /= lam_s.sum()
+        y = lam_s @ P[support]
+        scores = 2.0 * (P - y) @ (x - y)
+        j = int(np.argmax(scores))
+        gap = max(0.0, float(scores[j]))
+        if gap <= projection_engine.GAP_TOL:
+            break
+        assert j not in support, "the reference stalled"
+        support.append(j)
+        lam_s = np.append(lam_s, 0.0)
+    else:
+        raise AssertionError("the reference hit its iteration cap")
+    y, gap = projection_engine._snap_member(x, y, gap, float(np.linalg.norm(x)))
+    full = np.zeros(m)
+    full[support] = lam_s
+    return projection_engine._result(x, y, "hull_qp", iters, gap), full
+
+
+def _assert_same_hull_answer(P, x, start=None):
+    r, w = project_hull(P, x, return_weights=True, start=start)
+    ref, ref_w = _old_project_hull(P, x, start)
+    assert r.point.tobytes() == ref.point.tobytes()
+    assert _bits(r.distance) == _bits(ref.distance)
+    assert _bits(r.certificate_gap) == _bits(ref.certificate_gap)
+    assert r.iterations == ref.iterations
+    assert w.tobytes() == ref_w.tobytes()
+
+
+class TestWolfeLoopMatchesOldLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.05, 20.0),
+        warm=st.booleans(),
+    )
+    def test_bitwise_on_random_clouds(self, d, m, seed, scale, warm):
+        rng = np.random.default_rng(seed)
+        P = rng.standard_normal((m, d))
+        for x in rng.standard_normal((4, d)) * scale:
+            start = rng.dirichlet(np.ones(m)) * (rng.random(m) < 0.5) if warm else None
+            if start is not None and start.sum() == 0.0:
+                start = None
+            _assert_same_hull_answer(P, x, start)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        P=st.integers(2, 6).flatmap(lambda d: arrays(
+            np.float64, st.tuples(st.integers(1, 12), st.just(d)),
+            elements=st.floats(-100.0, 100.0, allow_subnormal=False),
+        )),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_on_drawn_clouds(self, P, seed):
+        # duplicated and coplanar rows, and queries on the cloud itself
+        rng = np.random.default_rng(seed)
+        xs = np.vstack([rng.standard_normal((3, P.shape[1])) * 50.0, P[:1]])
+        for x in xs:
+            _assert_same_hull_answer(P, x)
+
+    @pytest.mark.parametrize("start", ["cold", "answer", "vertex", "uniform_on_support"])
+    @pytest.mark.parametrize("name", list(_TINY_CLOUDS))
+    def test_bitwise_on_brute_force_clouds(self, name, start):
+        P = _TINY_CLOUDS[name]
+        rng = np.random.default_rng(13)
+        for x, _ in _tiny_cloud_cases(name):
+            _assert_same_hull_answer(P, x, _warm_start(start, P, x, rng))
+
+    def test_bitwise_on_the_gallery_slice(self):
+        G = _gallery_generators(512)
+        rng = np.random.default_rng(9)
+        center = G.mean(axis=0)
+        for x in center + rng.standard_normal((20, 4)) * [3.0, 3.0, 3.0, 0.0]:
+            _assert_same_hull_answer(G, x)
+
+    def test_one_row_affine_weights_are_exactly_one(self):
+        for Ps, x in [(np.array([[3.0, -1.0]]), np.array([0.5, 2.0])),
+                      (np.array([[1e-300, 1e300, 0.0]]), np.zeros(3))]:
+            mu = projection_engine._affine_weights(Ps, x)
+            assert mu.tobytes() == np.ones(1).tobytes()
 
 
 class TestCertifiedOrRaise:
