@@ -20,9 +20,9 @@ from .linalg_core import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Tolerance,
+    _embed,
     _freeze,
     orthonormalize,
-    sym_to_vec,
     sym_vec_dim,
     vec_to_sym,
 )
@@ -589,6 +589,9 @@ def sample_points(K: ConeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Conic variants return nonnegative combinations of primitive members;
     the draw is not uniform in any canonical measure, just well spread.
+    A PSD(k) row is the Gram matrix a a^T of a k x r Gaussian factor, r
+    uniform on 1..k, drawn for all rows at once (ranks, then an (n, k, k)
+    Gaussian stack): a seed gives other rows than the old per-row draws.
     """
     if isinstance(K, GallerySet):
         if K.sample_fn is not None:
@@ -615,27 +618,21 @@ def sample_points(K: ConeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
         t = rng.gamma(2.0, 1.0, size=n)
         return np.column_stack([y * (r * t)[:, None], t])
     if isinstance(K, PsdCone):
-        # one draw per row keeps the generator's stream; one embedding call
-        grams = np.empty((n, K.n, K.n))
-        for i in range(n):
-            a = rng.standard_normal((K.n, max(1, rng.integers(1, K.n + 1))))
-            grams[i] = a @ a.T
-        return sym_to_vec(grams)
-    if isinstance(K, PolyhedralCone):
-        if K.generators is not None:
-            w = rng.gamma(1.0, 1.0, size=(n, K.generators.shape[0]))
-            return w @ K.generators
+        # zeroing a row's factor columns at or past its rank r gives rank r
+        ranks = rng.integers(1, K.n + 1, size=n)
+        a = rng.standard_normal((n, K.n, K.n))
+        a = np.where(np.arange(K.n) < ranks[:, None, None], a, 0.0)
+        return _embed(a @ a.transpose(0, 2, 1))
+    if isinstance(K, PolyhedralCone) and K.generators is not None:
+        w = rng.gamma(1.0, 1.0, size=(n, K.generators.shape[0]))
+        return w @ K.generators
+    if isinstance(K, (PolyhedralCone, IntersectionCone)):
         from .projection_engine import project
 
         g = rng.standard_normal((n, K.dim)) * 2.0
         return np.vstack([project(K, gi).point for gi in g])
     if isinstance(K, ProductCone):
         return np.hstack([sample_points(K.left, n, rng), sample_points(K.right, n, rng)])
-    if isinstance(K, IntersectionCone):
-        from .projection_engine import project
-
-        g = rng.standard_normal((n, K.dim)) * 2.0
-        return np.vstack([project(K, gi).point for gi in g])
     if isinstance(K, LinearImageCone):
         return sample_points(K.inner, n, rng) @ K.matrix.T
     if isinstance(K, ConicHull):

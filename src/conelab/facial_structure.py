@@ -325,13 +325,10 @@ def _soc_ray_face(K: SecondOrderCone, g: np.ndarray) -> FaceHandle:
 
 def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
     """Face {X psd : range(X) inside range(U)} for U with orthonormal columns."""
-    n, r = U.shape
-    span_vecs = []
-    for i in range(r):
-        for j in range(i, r):
-            M = np.outer(U[:, i], U[:, j])
-            span_vecs.append(sym_to_vec(M + M.T))
-    span = orthonormalize(np.array(span_vecs))
+    # the outer products u_i u_j^T, i <= j, in the embedding's triangle order
+    i, j = np.triu_indices(U.shape[1])
+    M = U.T[i][:, :, None] * U.T[j][:, None, :]
+    span = orthonormalize(sym_to_vec(M + np.swapaxes(M, -1, -2)))
 
     def proj(v):
         # matmul and eigh treat each matrix of a stack as they treat it alone
@@ -387,13 +384,10 @@ def _poly_generator_face(K: PolyhedralCone, active: tuple, x: np.ndarray | None 
 
 
 def _product_face(K: ProductCone, Fl: FaceHandle, Fr: FaceHandle) -> FaceHandle:
-    dl, dr = K.left.dim, K.right.dim
-    span_rows = []
-    for row in Fl.span_basis:
-        span_rows.append(np.concatenate([row, np.zeros(dr)]))
-    for row in Fr.span_basis:
-        span_rows.append(np.concatenate([np.zeros(dl), row]))
-    span = np.array(span_rows) if span_rows else np.zeros((0, dl + dr))
+    dl, kl = K.left.dim, len(Fl.span_basis)
+    span = np.zeros((kl + len(Fr.span_basis), K.dim))
+    span[:kl, :dl] = Fl.span_basis
+    span[kl:, dl:] = Fr.span_basis
 
     def member(v, tol=DEFAULT_TOL):
         return bool(Fl.membership(v[:dl], tol) and Fr.membership(v[dl:], tol))
@@ -611,8 +605,7 @@ def is_exposed(
                     )
                 ) if F.face_dim else 0.0
                 if gap <= 1e-8:
-                    wit = witness
-                    return ExposednessResult("exposed", wit, 0.0, 0.0, double)
+                    return ExposednessResult("exposed", witness, 0.0, 0.0, double)
                 return ExposednessResult("not_exposed", None, 0.0, 0.0, double)
 
     return ExposednessResult("undecided", witness, 0.0, 0.0, None)

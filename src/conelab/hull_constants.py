@@ -43,7 +43,7 @@ import numpy as np
 
 from .cone_algebra import ConeSpec, SliceSpec, UnsupportedVariantError, get_slice
 from .facial_structure import FaceHandle, face_projection
-from .linalg_core import DEFAULT_TOL, Tolerance, complement_basis, unit_sphere_grid
+from .linalg_core import DEFAULT_TOL, Tolerance, complement_basis, row_norms, unit_sphere_grid
 from .projection_engine import project, project_conic_generators, project_hull
 
 __all__ = [
@@ -255,17 +255,13 @@ def face_sphere_directions(F: FaceHandle, n_dirs: int = 4096) -> np.ndarray:
     k = F.face_dim
     if k < 1:
         raise DegenerateFaceError("the zero face has no directions")
-    B = F.span_basis
-    grid = unit_sphere_grid(k, n_dirs) @ B
-    dirs = []
-    for g in grid:
-        p = face_projection(F, g)
-        nrm = float(np.linalg.norm(p))
-        if nrm > 1e-9:
-            dirs.append(p / nrm)
-    if not dirs:
+    # one stacked projection: each row and its norm are those of the row alone
+    P = face_projection(F, unit_sphere_grid(k, n_dirs) @ F.span_basis)
+    nrm = row_norms(P)
+    keep = nrm > 1e-9
+    if not keep.any():
         raise DegenerateFaceError("no grid direction has a nonzero face projection")
-    return np.unique(np.round(np.asarray(dirs), 12), axis=0)
+    return np.unique(np.round(P[keep] / nrm[keep, None], 12), axis=0)
 
 
 # ---------------------------------------------------------------------------

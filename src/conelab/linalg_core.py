@@ -275,7 +275,7 @@ def _embed(X: np.ndarray) -> np.ndarray:
     the upper triangle. C-ordered: BLAS sums strided rows in another order."""
     n = X.shape[-1]
     flat, mult, _ = _triangle(n)
-    return np.take(X.reshape(X.shape[:-2] + (n * n,)), flat, axis=-1) * mult
+    return X.reshape(X.shape[:-2] + (n * n,)).take(flat, axis=-1) * mult
 
 
 def sym_to_vec(X: np.ndarray) -> np.ndarray:
@@ -295,11 +295,11 @@ def vec_to_sym(v: np.ndarray) -> np.ndarray:
     (..., n, n), symmetric by construction, so nothing is checked."""
     v = np.asarray(v, dtype=float)
     m = v.shape[-1]
-    n = int(round((np.sqrt(8 * m + 1) - 1) / 2))
+    n = (math.isqrt(8 * m + 1) - 1) // 2
     if sym_vec_dim(n) != m:
         raise ValueError(f"length {m} is not a triangular number")
     _, mult, coord = _triangle(n)
-    return np.take(v / mult, coord, axis=-1).reshape(v.shape[:-1] + (n, n))
+    return (v / mult).take(coord, axis=-1).reshape(v.shape[:-1] + (n, n))
 
 
 def vec_norm(v: np.ndarray) -> float:

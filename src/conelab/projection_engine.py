@@ -102,7 +102,13 @@ def _norm(v: np.ndarray) -> float:
     return n
 
 
-def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: float = 0.0) -> ProjectionResult:
+def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: float = 0.0,
+            huge: bool = False) -> ProjectionResult:
+    """The result for the answer p at x. When x.x overflows (huge), x - p may
+    overflow to +-inf: the distance is then past the float range, inf, unwarned."""
+    if huge:
+        with np.errstate(over="ignore"):
+            return ProjectionResult(p, _norm(x - p), method, iters, gap)
     return ProjectionResult(p, _norm(x - p), method, iters, gap)
 
 
@@ -197,11 +203,16 @@ def _kkt_certified(dual: float, comp: float, scale: float) -> bool:
 SCREEN_SIZE = 64
 
 
-def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None):
-    """scipy.optimize.nnls, imported on first call (see the module docstring)."""
-    from scipy.optimize import nnls as scipy_nnls
+_scipy_nnls = None
 
-    return scipy_nnls(A, b, maxiter=maxiter)
+
+def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None):
+    """scipy.optimize.nnls, imported on first call and kept in _scipy_nnls
+    (see the module docstring)."""
+    global _scipy_nnls
+    if _scipy_nnls is None:
+        from scipy.optimize import nnls as _scipy_nnls
+    return _scipy_nnls(A, b, maxiter=maxiter)
 
 
 def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -310,7 +321,8 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     x = K._check_point(x)
     # vdot is the ddot of x.dot(x) without its overflow warning for a finite
     # point of norm above about 1.3e154; the entries decide then
-    if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+    huge = not math.isfinite(np.vdot(x, x))
+    if huge and not np.isfinite(x).all():
         raise ValueError("point has a non-finite entry")
 
     if isinstance(K, GallerySet):
@@ -321,32 +333,32 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
         raise UnsupportedVariantError(f"gallery object {K.name!r} has no projector")
 
     if isinstance(K, NonnegativeOrthant):
-        return _result(x, np.maximum(x, 0.0), "closed_form")
+        return _result(x, np.maximum(x, 0.0), "closed_form", huge=huge)
 
     if isinstance(K, Halfspace):
         v = float(K.normal @ x) - K.offset
         p = x - max(v, 0.0) * K.normal
-        return _result(x, p, "closed_form")
+        return _result(x, p, "closed_form", huge=huge)
 
     if isinstance(K, LinearSubspace):
         p = (x @ K.basis.T) @ K.basis if K.subspace_dim else np.zeros_like(x)
         p, gap = _snap_member(x, p, 0.0, vec_norm(x))
-        return _result(x, p, "closed_form", 0, gap)
+        return _result(x, p, "closed_form", 0, gap, huge=huge)
 
     if isinstance(K, SecondOrderCone):
-        return _result(x, _project_soc(x), "closed_form")
+        return _result(x, _project_soc(x), "closed_form", huge=huge)
 
     if isinstance(K, PsdCone):
-        return _result(x, _project_psd(x), "eigen_clip")
+        return _result(x, _project_psd(x), "eigen_clip", huge=huge)
 
     if isinstance(K, PolyhedralCone):
         if K.generators is not None:
             p, lam, gap = project_conic_generators(K.generators, x)
-            return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
+            return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap, huge=huge)
         # inequality representation: Moreau with the dual cone's generators,
         # proj_K(x) = x + proj_{K*}(-x) for K = {x : Ax >= 0}, K* = cone{A^T}.
         q, lam, gap = project_conic_generators(K.inequalities, -x)
-        return _result(x, x + q, "hull_qp", int(np.count_nonzero(lam)), gap)
+        return _result(x, x + q, "hull_qp", int(np.count_nonzero(lam)), gap, huge=huge)
 
     if isinstance(K, ProductCone):
         rl = project(K.left, x[: K.left.dim], tol)
@@ -368,7 +380,7 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
 
     if isinstance(K, ConicHull):
         p, lam, gap = project_conic_generators(hull_points(K), x)
-        return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
+        return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap, huge=huge)
 
     raise UnsupportedVariantError(f"projection not implemented for {type(K).__name__}")
 

@@ -105,6 +105,32 @@ class TestFastChecks:
         )
 
 
+# The projections_dim4 result block. The idempotency residuals come from the
+# maps alone, not from the cone samples that certify them, and the counts are
+# zero, so the block does not move with the sample stream.
+PROJECTIONS_DIM4_REPORT = {
+    "name": "projections_dim4",
+    "passed": True,
+    "measured": {
+        "max_idempotency_residual": 2.499851492298633e-14,
+        "total_containment_violations": 0,
+        "orthant_ray_idempotency": 0.0,
+        "psd_ray_idempotency": 0.0,
+        "cylinder_seam_ray_idempotency": 0.0,
+        "orthant_face_idempotency": 0.0,
+        "psd_diagonal_idempotency": 0.0,
+        "cylinder_seam_face_idempotency": 2.499851492298633e-14,
+    },
+    "expected": {"max_idempotency_residual": 1e-12, "total_containment_violations": 0},
+    "note": "six constructed maps, 10^4 cone samples each",
+}
+
+
+def test_projections_dim4_report_is_golden():
+    rep = checks.run_check("projections_dim4").to_report()
+    assert json.dumps(rep, sort_keys=True) == json.dumps(PROJECTIONS_DIM4_REPORT, sort_keys=True)
+
+
 class TestDiagonalPsdFace:
     """The face of PSD(2) used by the projections_dim4 containment count."""
 

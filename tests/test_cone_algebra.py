@@ -27,7 +27,7 @@ from conelab.cone_algebra import (
     sample_points,
     support_value,
 )
-from conelab.linalg_core import sym_to_vec
+from conelab.linalg_core import sym_to_vec, vec_to_sym
 
 
 def _triangle_hull():
@@ -242,6 +242,41 @@ class TestSampling:
         L = LinearSubspace(np.array([[1.0, 1.0, 0.0]]))
         pts = sample_points(L, 10, np.random.default_rng(3))
         np.testing.assert_allclose(pts[:, 0], pts[:, 1], atol=1e-12)
+
+
+class TestPsdSampler:
+    """sample_points(PsdCone(n)): one batched draw of Gram matrices a a^T,
+    a an n x r Gaussian factor with r uniform on 1..n."""
+
+    @staticmethod
+    def _eigs(X):
+        return np.linalg.eigvalsh(vec_to_sym(X))
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("N", [0, 1, 300])
+    def test_rows_are_psd_on_their_own_scale(self, n, N):
+        X = sample_points(PsdCone(n), N, np.random.default_rng(4))
+        assert X.shape == (N, n * (n + 1) // 2)
+        w = self._eigs(X)
+        assert np.isfinite(X).all()
+        assert np.all(w[:, -1] > 0.0)
+        assert np.all(w[:, 0] >= -1e-13 * w[:, -1])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_same_seed_same_stack(self, n):
+        a = sample_points(PsdCone(n), 50, np.random.default_rng(11))
+        b = sample_points(PsdCone(n), 50, np.random.default_rng(11))
+        c = sample_points(PsdCone(n), 50, np.random.default_rng(12))
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rank_is_uniform_on_one_to_n(self, n):
+        w = self._eigs(sample_points(PsdCone(n), 6000, np.random.default_rng(5)))
+        ranks = np.count_nonzero(w > 1e-10 * w[:, -1:], axis=1)
+        freq = np.bincount(ranks, minlength=n + 1) / len(ranks)
+        assert freq[0] == 0.0
+        np.testing.assert_allclose(freq[1:], 1.0 / n, atol=0.03)
 
 
 class TestSpanDim:

@@ -29,7 +29,7 @@ from conelab.facial_structure import (
     minimal_face,
     zero_face,
 )
-from conelab.linalg_core import DEFAULT_TOL, sym_to_vec, vec_to_sym
+from conelab.linalg_core import DEFAULT_TOL, orthonormalize, sym_to_vec, vec_to_sym
 
 
 class TestMinimalFace:
@@ -88,6 +88,51 @@ class TestMinimalFace:
     def test_outside_point_raises(self):
         with pytest.raises(NotInConeError):
             minimal_face(NonnegativeOrthant(3), [-1.0, 0.0, 0.0])
+
+
+def _reference_psd_range_span(U):
+    """The PSD-range face's span as a loop: one embedded u_i u_j^T + u_j u_i^T
+    per pair i <= j, orthonormalized."""
+    r = U.shape[1]
+    vecs = []
+    for i in range(r):
+        for j in range(i, r):
+            M = np.outer(U[:, i], U[:, j])
+            vecs.append(sym_to_vec(M + M.T))
+    return orthonormalize(np.array(vecs))
+
+
+def _reference_product_span(K, Fl, Fr):
+    """The product face's span as a loop: each factor's rows padded with zeros."""
+    rows = [np.concatenate([r, np.zeros(K.right.dim)]) for r in Fl.span_basis]
+    rows += [np.concatenate([np.zeros(K.left.dim), r]) for r in Fr.span_basis]
+    return np.array(rows) if rows else np.zeros((0, K.dim))
+
+
+class TestFaceSpans:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_psd_range_span_equals_the_loop_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for r in range(1, n + 1):
+            A = rng.standard_normal((n, r))
+            F = minimal_face(PsdCone(n), sym_to_vec(A @ A.T))
+            ref = _reference_psd_range_span(F.descriptor["range_basis"])
+            assert F.face_dim == r * (r + 1) // 2
+            assert F.span_basis.shape == ref.shape
+            assert F.span_basis.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [([1.0, 0.0, 2.0], [0.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [0.6, 0.8, 1.0]),
+         ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0]), ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])],
+        ids=["ray_zero", "zero_ray", "face_interior", "zero_zero"],
+    )
+    def test_product_span_equals_the_loop_bitwise(self, left, right):
+        K = ProductCone(NonnegativeOrthant(3), SecondOrderCone(3))
+        F = minimal_face(K, np.array(left + right))
+        ref = _reference_product_span(K, F.descriptor["left"], F.descriptor["right"])
+        assert F.span_basis.shape == ref.shape
+        assert F.span_basis.tobytes() == ref.tobytes()
 
 
 class TestHandleMechanics:

@@ -12,6 +12,7 @@ from conelab.cone_algebra import (
     MembershipResult,
     NonnegativeOrthant,
     PolyhedralCone,
+    PsdCone,
     SecondOrderCone,
     SliceSpec,
     UnsupportedVariantError,
@@ -30,7 +31,7 @@ from conelab.hull_constants import (
     verify_monotone_shift,
     verify_slice_bound,
 )
-from conelab.linalg_core import DEFAULT_TOL, BoundedRegion
+from conelab.linalg_core import DEFAULT_TOL, BoundedRegion, sym_to_vec, unit_sphere_grid
 from conelab.projection_engine import ProjectionResult, project
 
 
@@ -217,6 +218,39 @@ class TestAntipodality:
         dirs = face_sphere_directions(F, 512)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-9)
         assert all(F.contains(d) for d in dirs)
+
+
+def _reference_sphere_directions(F, n_dirs):
+    """face_sphere_directions as a row-by-row loop: one face projection and
+    one np.linalg.norm per grid direction."""
+    grid = unit_sphere_grid(F.face_dim, n_dirs) @ F.span_basis
+    dirs = []
+    for g in grid:
+        p = face_projection(F, g)
+        nrm = float(np.linalg.norm(p))
+        if nrm > 1e-9:
+            dirs.append(p / nrm)
+    return np.unique(np.round(np.asarray(dirs), 12), axis=0)
+
+
+def _sphere_direction_faces():
+    return {
+        "orthant": minimal_face(NonnegativeOrthant(3), np.array([1.0, 1.0, 0.0])),
+        "psd_range": minimal_face(PsdCone(3), sym_to_vec(np.diag([1.0, 1.0, 0.0]))),
+        "soc_ray": minimal_face(SecondOrderCone(3), np.array([1.0, 0.0, 1.0])),
+        "seam_face": gallery.seam_face(gallery.cylinder_hull_objects().hull),
+    }
+
+
+class TestFaceSphereDirections:
+    @pytest.mark.parametrize("name", ["orthant", "psd_range", "soc_ray", "seam_face"])
+    @pytest.mark.parametrize("n_dirs", [300, 1024])
+    def test_equals_the_row_by_row_loop_bitwise(self, name, n_dirs):
+        F = _sphere_direction_faces()[name]
+        dirs = face_sphere_directions(F, n_dirs)
+        ref = _reference_sphere_directions(F, n_dirs)
+        assert dirs.shape == ref.shape
+        assert dirs.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

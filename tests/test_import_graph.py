@@ -90,3 +90,49 @@ def test_conic_hull_projection_loads_scipy_and_matches_nnls():
     ref = pts.T @ nnls(pts.T, x, maxiter=3 * pts.shape[0])[0]
     assert not np.allclose(ref, x)  # not a member, so no snap to x
     assert bytes.fromhex(out["point"]) == ref.tobytes()
+
+
+def test_nnls_imports_scipy_once_over_many_solves():
+    # every import statement that projection_engine runs goes through
+    # builtins.__import__ with the module's globals (as do numpy's lazy
+    # imports from C, so only scipy names count); only the first solve
+    # imports scipy.optimize, and later ones reuse the function it bound
+    out = _run_fresh(
+        "import builtins\n"
+        "import numpy as np\n"
+        "from conelab.projection_engine import project_conic_generators\n"
+        "seen = []\n"
+        "_import = builtins.__import__\n"
+        "def _counting(name, globals=None, *args, **kwargs):\n"
+        "    if (name.startswith('scipy') and globals is not None\n"
+        "            and globals.get('__name__') == 'conelab.projection_engine'):\n"
+        "        seen.append(name)\n"
+        "    return _import(name, globals, *args, **kwargs)\n"
+        "builtins.__import__ = _counting\n"
+        "G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])\n"
+        "for x in ([3.0, 1.0, 0.5], [-2.0, 1.0, 1.0], [0.5, -3.0, 2.0], [1.0, 1.0, -1.0]):\n"
+        "    project_conic_generators(G, np.array(x))\n"
+        "builtins.__import__ = _import\n"
+        "extra = {'imports': seen}\n"
+    )
+    assert out["imports"] == ["scipy.optimize"]
+    assert "scipy.optimize" in out["scipy"]
+
+
+def test_monkeypatched_nnls_is_what_the_generator_kernel_calls(monkeypatch):
+    from conelab import projection_engine
+
+    G = np.array([[1.0, 0.0], [1.0, 1.0]])
+    x = np.array([-1.0, 2.0])
+    projection_engine.project_conic_generators(G, x)  # scipy's nnls is bound by now
+    real = projection_engine.nnls
+    calls = []
+
+    def spy(A, b, maxiter=None):
+        calls.append(A.shape)
+        return real(A, b, maxiter=maxiter)
+
+    monkeypatch.setattr(projection_engine, "nnls", spy)
+    p, lam, gap = projection_engine.project_conic_generators(G, x)
+    assert calls == [(2, 2)]
+    assert p.tobytes() == (G.T @ nnls(G.T, x, maxiter=6)[0]).tobytes()

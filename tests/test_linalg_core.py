@@ -189,6 +189,21 @@ class TestSymmetricEmbedding:
         with pytest.raises(ValueError):
             vec_to_sym(np.zeros(4))
 
+    @pytest.mark.parametrize("m", [2, 4, 5, 7])
+    def test_vec_to_sym_rejects_non_triangular_lengths(self, m):
+        for shape in ((m,), (3, m)):
+            with pytest.raises(ValueError, match=f"length {m} is not a triangular number"):
+                vec_to_sym(np.zeros(shape))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 200])
+    def test_vec_to_sym_finds_n_for_triangular_lengths(self, n):
+        m = sym_vec_dim(n)
+        assert vec_to_sym(np.zeros(m)).shape == (n, n)
+        if n:
+            # the next triangular number is m + n + 1
+            with pytest.raises(ValueError):
+                vec_to_sym(np.zeros(m + n))
+
 
 _FINITE = st.floats(-1e150, 1e150, allow_nan=False, allow_subnormal=False)
 

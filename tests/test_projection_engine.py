@@ -469,6 +469,28 @@ class TestNonFinitePoints:
         assert r.point.tobytes() == np.ldexp(small.point, 600).tobytes() == p.tobytes()
         assert r.distance == math.ldexp(small.distance, 600)
 
+    NEAR_MAX = np.array([1.7e308] * 9 + [-1.7e308])
+
+    def test_soc_distance_past_the_float_max_is_inf(self):
+        # the projection is finite, but x - p overflows: the distance, which
+        # is past the float max, comes back inf with no overflow warning
+        x = self.NEAR_MAX
+        r = project(SecondOrderCone(10), x)
+        small = project(SecondOrderCone(10), np.ldexp(x, -600))
+        assert np.isfinite(r.point).all()
+        assert r.point.tobytes() == np.ldexp(small.point, 600).tobytes()
+        assert small.distance > np.ldexp(np.finfo(float).max, -600)
+        assert r.distance == math.inf
+
+    @pytest.mark.parametrize("slope", [0.5, 1.0, 2.0])
+    def test_scaled_soc_past_the_float_max_is_the_scaled_projection(self, slope):
+        x = self.NEAR_MAX
+        p = project_scaled_soc(x, slope)
+        assert np.isfinite(p).all()
+        assert p.tobytes() == np.ldexp(project_scaled_soc(np.ldexp(x, -600), slope), 600).tobytes()
+        if slope == 1.0:
+            assert p.tobytes() == project(SecondOrderCone(10), x).point.tobytes()
+
     @pytest.mark.parametrize(
         "K, member",
         [(NonnegativeOrthant(6), np.full(6, 3e200)),
