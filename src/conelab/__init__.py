@@ -14,7 +14,6 @@ from .linalg_core import (
     BoundedRegion,
     DEFAULT_TOL,
     Tolerance,
-    distance_to_affine,
     orthonormalize,
     sym_to_vec,
     unit_sphere_grid,

@@ -42,13 +42,6 @@ from pathlib import Path
 
 __all__ = ["RunConfig", "main"]
 
-_GALLERY_CONES = (
-    "nice_not_amenable_C",
-    "nice_not_amenable_K",
-    "cylinder_K_tilde",
-    "sturm_slice",
-)
-
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -290,9 +283,17 @@ def _cone_from_obj(obj, where: str = "spec"):
         level = _number(obj, "level", where, 1.0, positive=True)
         return CA.ConicHull(CA.SliceSpec(e=e, sampler=lambda n: pts, level=level))
     if kind == "gallery":
+        from .gallery import GALLERY, GALLERY_NAMES
+
         name = obj.get("name")
         density = _number(obj, "density", where, 2048, integer=True, positive=True)
-        return _gallery_cone(name, density, where)
+        # a tuple test: `name in GALLERY` raises TypeError for a list name
+        if name not in GALLERY_NAMES:
+            raise CliInputError(
+                f"{where}: unknown gallery cone {name!r}; "
+                f"known names: {', '.join(GALLERY_NAMES)}"
+            )
+        return GALLERY[name].build(density)
     known = (
         "orthant, soc, psd, polyhedral, halfspace, subspace, product, "
         "intersection, linear_image, hull, gallery"
@@ -300,38 +301,23 @@ def _cone_from_obj(obj, where: str = "spec"):
     raise CliInputError(f"{where}: unknown cone type {kind!r}; known types: {known}")
 
 
-def _gallery_cone(name: str, density: int, where: str):
-    from . import gallery
-
-    if name == "nice_not_amenable_C":
-        return gallery.body(density)
-    if name == "nice_not_amenable_K":
-        return gallery.conic_hull_of_body(density)
-    if name == "cylinder_K_tilde":
-        return gallery.cylinder_hull_objects().hull
-    if name == "sturm_slice":
-        return gallery.sturm_slice()
-    raise CliInputError(
-        f"{where}: unknown gallery cone {name!r}; "
-        f"known names: {', '.join(_GALLERY_CONES)}"
-    )
-
-
 def _load_spec(spec_arg: str | None):
     """Resolve --spec into (cone, sha256, label).
 
     The argument is a JSON file path, or the bare name of a gallery cone.
     """
+    from .gallery import GALLERY, GALLERY_NAMES
+
     if spec_arg is None:
         raise CliInputError("--spec is required for this command")
     path = Path(spec_arg)
-    if not path.is_file() and spec_arg in _GALLERY_CONES:
+    if not path.is_file() and spec_arg in GALLERY_NAMES:
         digest = hashlib.sha256(spec_arg.encode()).hexdigest()
-        return _gallery_cone(spec_arg, 2048, "spec"), digest, spec_arg
+        return GALLERY[spec_arg].build(2048), digest, spec_arg
     if not path.is_file():
         raise CliInputError(
             f"spec {spec_arg!r} is neither a file nor a gallery name "
-            f"({', '.join(_GALLERY_CONES)})"
+            f"({', '.join(GALLERY_NAMES)})"
         )
     text = path.read_text()
     try:
@@ -389,37 +375,16 @@ def _parse_region(text: str | None, dim: int):
     return BoundedRegion(center=vals[:-1].copy(), radius=radius)
 
 
-def _named_faces(K, label: str) -> dict:
-    from . import gallery
-
-    if label == "nice_not_amenable_C":
-        return {
-            "disk_top": lambda: gallery.face_disk_top(K),
-            "disk_bottom": lambda: gallery.face_disk_bottom(K),
-        }
-    if label == "nice_not_amenable_K":
-        return {"lifted_disk": lambda: gallery.lifted_disk_face(K)}
-    if label == "cylinder_K_tilde":
-        return {
-            "lifted_disk": lambda: gallery.lifted_disk_face(K),
-            "seam": lambda: gallery.seam_face(K),
-            "seam_ray_top": lambda: gallery.seam_ray_faces(K)[0],
-            "seam_ray_bottom": lambda: gallery.seam_ray_faces(K)[1],
-        }
-    if label == "sturm_slice":
-        return {"sturm": lambda: gallery.sturm_face(K)}
-    return {}
-
-
 def _resolve_face(K, face_arg: str | None, label: str, tol):
     """--face is a named gallery face or a point whose minimal face is taken."""
     from .facial_structure import minimal_face
+    from .gallery import GALLERY
 
     if face_arg is None:
         raise CliInputError("--face is required for this command")
-    named = _named_faces(K, label)
+    named = GALLERY[label].faces if label in GALLERY else {}
     if face_arg in named:
-        return named[face_arg]()
+        return named[face_arg](K)
     try:
         x = _floats(face_arg, "--face")
     except CliInputError:

@@ -82,9 +82,10 @@ class FaceHandle:
     ("zero", "orthant", "soc_ray", "psd_range", and the "diagonal" face of
     the projections_dim4 check) the exact projector also maps a (..., d)
     stack to (..., d), each row to exactly the bits it gets alone. For those
-    five kinds and the gallery's "seam_ray" and "seam_edge" the
-    membership also maps a (..., d) stack to (...,) verdicts, each row to the
-    verdict it gets alone; face_contains uses it. contains returns one bool.
+    five kinds and the gallery's "seam_ray_top", "seam_ray_bottom" and
+    "seam" the membership also maps a (..., d) stack to (...,) verdicts, each
+    row to the verdict it gets alone; face_contains uses it. contains returns
+    one bool.
     A point with a non-finite entry is in no face: contains and face_contains
     answer False for it without calling membership, so membership only ever
     sees finite points.
@@ -123,20 +124,23 @@ class FaceHandle:
 
 # Face kinds whose exact projector is closed-form and maps stacks to stacks;
 # "diagonal" is the diagonal PSD(2) face of the projections_dim4 check and
-# "seam_ray" the gallery's seam-ray faces.
-_STACKED_KINDS = frozenset({"zero", "orthant", "soc_ray", "psd_range", "diagonal", "seam_ray"})
+# "seam_ray_top" and "seam_ray_bottom" the gallery's seam-ray faces.
+_STACKED_KINDS = frozenset(
+    {"zero", "orthant", "soc_ray", "psd_range", "diagonal", "seam_ray_top", "seam_ray_bottom"}
+)
 # Face kinds whose membership maps a stack to one verdict per row.
-_STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam_edge"}
+_STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam"}
 
 
 def face_contains(F: FaceHandle, X, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Membership verdicts for an (n, d) stack of points, one bool per row.
 
     The stacked kinds of FaceHandle ("zero", "orthant", "soc_ray",
-    "psd_range", "diagonal", "seam_ray", "seam_edge") decide the whole stack
-    in one membership call on its finite rows; every other kind goes row by
-    row through F.contains. Either way each verdict equals F.contains of that
-    row alone, and a row with a non-finite entry is False.
+    "psd_range", "diagonal", "seam_ray_top", "seam_ray_bottom", "seam")
+    decide the whole stack in one membership call on its finite rows; every
+    other kind goes row by row through F.contains. Either way each verdict
+    equals F.contains of that row alone, and a row with a non-finite entry is
+    False.
     """
     X = np.asarray(X, dtype=float)
     if F.descriptor.get("kind") in _STACKED_MEMBERSHIP:
@@ -345,11 +349,16 @@ def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
 
 
 def _poly_active_face(K: PolyhedralCone, active: tuple) -> FaceHandle:
-    A = K.inequalities
     if len(active) == 0:
         return full_face(K)
-    AJ = A[list(active)]
-    span = complement_basis(orthonormalize(AJ), K.dim)
+    span = complement_basis(orthonormalize(K.inequalities[list(active)]), K.dim)
+    return _cone_span_face(K, span, {"kind": "poly_active", "active": tuple(active)})
+
+
+def _cone_span_face(K: ConeSpec, span: np.ndarray, descriptor: dict) -> FaceHandle:
+    """The face of K cut out by the span of the rows of span (for a span that
+    meets K in a face): membership in both, and Dykstra over the pair as the
+    projector."""
     aff = AffineSubspace(np.zeros(K.dim), span)
 
     def member(v, tol=DEFAULT_TOL):
@@ -360,7 +369,7 @@ def _poly_active_face(K: PolyhedralCone, active: tuple) -> FaceHandle:
     def proj(v, _projs=(lambda w: project(K, w).point, aff.project)):
         return dykstra_projectors(list(_projs), v, tol_change=1e-12).point
 
-    return FaceHandle(K, span, member, proj, {"kind": "poly_active", "active": tuple(active)})
+    return FaceHandle(K, span, member, proj, descriptor)
 
 
 def _poly_generator_face(K: PolyhedralCone, active: tuple, x: np.ndarray | None = None) -> FaceHandle:
@@ -416,8 +425,14 @@ def conjugate_face(K: ConeSpec, F: FaceHandle, tol: Tolerance = DEFAULT_TOL) -> 
     dual = dual_cone(K)
 
     if kind == "full":
-        return zero_face(dual) if cone_span_dim(K) == K.dim else _dual_of_span_face(K, F, dual)
-    if kind == "zero":
+        if cone_span_dim(K) == K.dim:
+            return zero_face(dual)
+        # the dual meets the span's complement in all of it
+        perp = complement_basis(F.span_basis, K.dim)
+        return _cone_span_face(dual, perp, {"kind": "dual_span_face"})
+    if kind in ("zero", "dual_span_face"):
+        # a "dual_span_face" is all of span(K*)'s complement, whose conjugate
+        # is the full face of K* = dual
         return full_face(dual)
 
     if isinstance(K, NonnegativeOrthant) and kind == "orthant":
@@ -439,18 +454,13 @@ def conjugate_face(K: ConeSpec, F: FaceHandle, tol: Tolerance = DEFAULT_TOL) -> 
         return _psd_range_face(dual, Uperp)
 
     if isinstance(K, PolyhedralCone) and kind == "poly_active":
-        A = K.inequalities
-        active = F.descriptor["active"]
         # conjugate of the minimal face with active set J is the cone of the
         # active inequality rows, as a face of the dual cone(A rows)
-        rows = A[list(active)] if active else np.zeros((0, K.dim))
-        return _poly_gen_face_of(dual, rows)
+        return _poly_generator_face(dual, F.descriptor["active"])
 
     if isinstance(K, PolyhedralCone) and kind == "poly_gens":
-        G = K.generators
-        active = F.descriptor["active"]
         # dual cone is {s : G s >= 0}; the conjugate face pins the active rows
-        return _poly_active_face(dual, tuple(active))
+        return _poly_active_face(dual, F.descriptor["active"])
 
     if isinstance(K, ProductCone) and kind == "product":
         Fl = conjugate_face(K.left, F.descriptor["left"], tol)
@@ -458,39 +468,6 @@ def conjugate_face(K: ConeSpec, F: FaceHandle, tol: Tolerance = DEFAULT_TOL) -> 
         return _product_face(dual, Fl, Fr)
 
     raise UnsupportedVariantError(f"conjugate_face not implemented for {kind!r} of {type(K).__name__}")
-
-
-def _poly_gen_face_of(dual: PolyhedralCone, rows: np.ndarray) -> FaceHandle:
-    """Face cone{rows} of a generator-represented dual cone."""
-    span = orthonormalize(rows) if rows.size else np.zeros((0, dual.dim))
-
-    def proj(v):
-        if rows.shape[0] == 0:
-            return np.zeros(dual.dim)
-        return project_conic_generators(rows, v)[0]
-
-    def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        return bool(np.linalg.norm(v - proj(v)) <= e)
-
-    return FaceHandle(dual, span, member, proj, {"kind": "poly_gens", "active": None, "generators": rows.copy()})
-
-
-def _dual_of_span_face(K: ConeSpec, F: FaceHandle, dual: ConeSpec) -> FaceHandle:
-    """Conjugate of the improper face for cones that do not span the space."""
-    perp = complement_basis(F.span_basis, F.ambient_dim)
-    aff = AffineSubspace(np.zeros(F.ambient_dim), perp)
-
-    def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        ok = membership(dual, v, tol).status is not Membership.OUTSIDE
-        return bool(ok and aff.distance(v) <= e)
-
-    def proj(v):
-        projs = [lambda w: project(dual, w).point, aff.project]
-        return dykstra_projectors(projs, v, tol_change=1e-12).point
-
-    return FaceHandle(dual, perp, member, proj, {"kind": "dual_span_face"})
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ calculus:
   one-parameter family of boundary points drives the face error-bound ratio
   to infinity while every bounded region still gets a finite constant.
 
-Registered object names (also addressable from the command line):
-``nice_not_amenable_C``, ``nice_not_amenable_K``, ``cylinder_K_tilde``,
-``sturm_slice``.
+The registry ``GALLERY`` names the sets that the command line addresses,
+each with its named faces: ``nice_not_amenable_C`` (``disk_top``,
+``disk_bottom``), ``nice_not_amenable_K`` (``lifted_disk``),
+``cylinder_K_tilde`` (``lifted_disk``, ``seam``, ``seam_ray_top``,
+``seam_ray_bottom``) and ``sturm_slice`` (``sturm``).
 
 Of this module's own code only the exposing normals need scipy:
 ``exposing_normal_u`` (and what calls it, such as ``exposing_normal`` and the
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -96,12 +99,11 @@ __all__ = [
     "sturm_slice",
     "sturm_face",
     "sturm_family",
-    "sturm_critical_eps",
     "dual_ray_samples",
     "dual_tips",
-    "gallery_by_name",
-    "named_face",
+    "GALLERY",
     "GALLERY_NAMES",
+    "GalleryEntry",
 ]
 
 
@@ -1020,7 +1022,7 @@ def seam_face(K_tilde: GallerySet) -> FaceHandle:
         membership=member,
         exact_projector=projector,
         descriptor={
-            "kind": "seam_edge",
+            "kind": "seam",
             "generators": np.vstack([gen_top, gen_bottom]),
             "witness": np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
             "sampler": sampler,
@@ -1059,7 +1061,8 @@ def _seam_conjugate_face(parent_dual: GallerySet, generators: np.ndarray) -> Fac
 
 def seam_ray_faces(K_tilde: GallerySet) -> tuple:
     """Extreme-ray faces of the cylinder hull generated by the two seam
-    lifts (1, 0, 1, 1) and (1, 0, -1, 1), in that order.
+    lifts (1, 0, 1, 1) and (1, 0, -1, 1), in that order: the kinds
+    "seam_ray_top" and "seam_ray_bottom".
 
     Each handle carries an exposing functional (zero exactly on its ray,
     strictly positive elsewhere on the hull) and a factory for the
@@ -1068,18 +1071,20 @@ def seam_ray_faces(K_tilde: GallerySet) -> tuple:
     """
     specs = (
         (
+            "seam_ray_top",
             np.array([1.0, 0.0, 1.0, 1.0]),
             np.array([-1.0, 0.0, -1.0, 2.0]) / np.sqrt(6.0),
             np.array([[-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 1.0]]),
         ),
         (
+            "seam_ray_bottom",
             np.array([1.0, 0.0, -1.0, 1.0]),
             np.array([-1.0, 0.0, 1.0, 2.0]) / np.sqrt(6.0),
             np.array([[-1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]),
         ),
     )
     handles = []
-    for gen, witness, conj_gens in specs:
+    for kind, gen, witness, conj_gens in specs:
         unit = gen / np.linalg.norm(gen)
 
         def member(x, tol=DEFAULT_TOL, unit=unit):
@@ -1108,7 +1113,7 @@ def seam_ray_faces(K_tilde: GallerySet) -> tuple:
                 membership=member,
                 exact_projector=projector,
                 descriptor={
-                    "kind": "seam_ray",
+                    "kind": kind,
                     "generators": gen[None, :],
                     "witness": witness,
                     "sampler": sampler,
@@ -1301,7 +1306,7 @@ def sturm_face(C: GallerySet | None = None) -> FaceHandle:
         span_basis=np.eye(3)[:2],
         membership=member,
         exact_projector=_sturm_face_project,
-        descriptor={"kind": "sturm_face", "sampler": sampler},
+        descriptor={"kind": "sturm", "sampler": sampler},
         affine_basepoint=np.array([0.0, 0.0, 1.0]),
     )
 
@@ -1337,68 +1342,33 @@ def sturm_family(eps: float) -> SturmFamilyPoint:
     )
 
 
-def sturm_critical_eps(kappa: float) -> float:
-    """A parameter at which the face error bound with constant kappa fails:
-    below 1 / (8 (kappa + 1)) the nearest face point is so far away that
-    dist(x_eps, face) > kappa * (dist(x_eps, slice) + dist(x_eps, aff face)).
-    """
-    if kappa <= 0.0:
-        raise ValueError("constant must be positive")
-    return 1.0 / (8.0 * (kappa + 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-GALLERY_NAMES = (
-    "nice_not_amenable_C",
-    "nice_not_amenable_K",
-    "cylinder_K_tilde",
-    "sturm_slice",
-)
+class GalleryEntry(NamedTuple):
+    """A registered gallery set: its builder, which takes the curve density
+    (ignored by the sets without curves), and its named faces, each a builder
+    taking the set. A face's name is its descriptor's "kind"."""
+
+    build: Callable[[int], GallerySet]
+    faces: dict
 
 
-def gallery_by_name(name: str, density: int = 2048) -> GallerySet:
-    """Resolve a registered gallery name to its set."""
-    if name == "nice_not_amenable_C":
-        return body(density)
-    if name == "nice_not_amenable_K":
-        return conic_hull_of_body(density)
-    if name == "cylinder_K_tilde":
-        return _cylinder_hull()
-    if name == "cylinder_K_tilde_dual":
-        return _cylinder_dual()
-    if name == "cylinder_dual_sum":
-        return _dual_sum_set()
-    if name == "sturm_slice":
-        return sturm_slice()
-    raise KeyError(f"unknown gallery name {name!r}; known: {', '.join(GALLERY_NAMES)}")
-
-
-def named_face(K: GallerySet, face_name: str) -> FaceHandle:
-    """Resolve a face descriptor string on a gallery set.
-
-    Recognized names: disk_alpha, disk_beta, vertex_alpha:t, vertex_beta:t,
-    vertex_arc:t (body); lifted_disk (either hull); seam (cylinder hull);
-    slice_face (matrix slice).
-    """
-    base, _, arg = face_name.partition(":")
-    if K.name == "nice_not_amenable_C":
-        if base == "disk_alpha":
-            return face_disk_top(K)
-        if base == "disk_beta":
-            return face_disk_bottom(K)
-        if base == "vertex_alpha":
-            return face_point_top_circle(K, float(arg))
-        if base == "vertex_beta":
-            return face_point_bottom_circle(K, float(arg))
-        if base == "vertex_arc":
-            return face_point_arc(K, float(arg))
-    if K.name in ("nice_not_amenable_K", "cylinder_K_tilde") and base == "lifted_disk":
-        return lifted_disk_face(K)
-    if K.name == "cylinder_K_tilde" and base == "seam":
-        return seam_face(K)
-    if K.name == "sturm_slice" and base == "slice_face":
-        return sturm_face(K)
-    raise KeyError(f"no face named {face_name!r} on gallery set {K.name!r}")
+GALLERY = {
+    "nice_not_amenable_C": GalleryEntry(
+        body, {"disk_top": face_disk_top, "disk_bottom": face_disk_bottom}
+    ),
+    "nice_not_amenable_K": GalleryEntry(conic_hull_of_body, {"lifted_disk": lifted_disk_face}),
+    "cylinder_K_tilde": GalleryEntry(
+        lambda density: _cylinder_hull(),
+        {
+            "lifted_disk": lifted_disk_face,
+            "seam": seam_face,
+            "seam_ray_top": lambda K: seam_ray_faces(K)[0],
+            "seam_ray_bottom": lambda K: seam_ray_faces(K)[1],
+        },
+    ),
+    "sturm_slice": GalleryEntry(lambda density: sturm_slice(), {"sturm": sturm_face}),
+}
+GALLERY_NAMES = tuple(GALLERY)

@@ -18,7 +18,6 @@ __all__ = [
     "AffineSubspace",
     "BoundedRegion",
     "orthonormalize",
-    "distance_to_affine",
     "sym_to_vec",
     "vec_to_sym",
     "sym_vec_dim",
@@ -166,11 +165,6 @@ class AffineSubspace:
 
     def contains(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
         return tol.is_zero(self.distance(x), scale=float(np.linalg.norm(x)))
-
-
-def distance_to_affine(x, A: AffineSubspace) -> float:
-    """Euclidean distance from x to the affine subspace A."""
-    return A.distance(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

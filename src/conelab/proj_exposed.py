@@ -76,7 +76,6 @@ __all__ = [
     "NotSeparableError",
     "build_rank_one_projection",
     "build_rank_two_projection",
-    "certify_projection",
     "extreme_ray_samples",
     "sung_tam_probe",
     "codim1_amenable_implies_pexp_check",
@@ -158,33 +157,6 @@ def _certification_counts(
     moved = row_norms((P @ fixed[:, :, None])[:, :, 0] - fixed)
     violations += int(np.count_nonzero(moved > 1e-8 * (1.0 + row_norms(fixed))))
     return idem, violations, len(X) + len(fixed)
-
-
-def certify_projection(
-    matrix,
-    K: ConeSpec,
-    F: FaceHandle,
-    *,
-    n_samples: int = 10_000,
-    seed: int = 0,
-) -> ProjectionMap:
-    """Certify an externally supplied square matrix as a retraction onto F.
-
-    Runs the same sampled checks as the constructors (idempotency, image
-    containment, face fixed points) and wraps the outcome in a
-    ProjectionMap record without attempting any repair.
-    """
-    P = np.asarray(matrix, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("projection matrix must be square")
-    idem, violations, checked = _certification_counts(P, K, F, n_samples, seed)
-    return ProjectionMap(
-        matrix=P,
-        target_face=F,
-        idempotency_residual=idem,
-        containment_violations=violations,
-        n_samples_checked=checked,
-    )
 
 
 def _assert_pointed(K: ConeSpec, n_samples: int, seed: int) -> None:

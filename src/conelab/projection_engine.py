@@ -74,7 +74,10 @@ class NonConvergenceError(RuntimeError):
 class ProjectionResult:
     """Projection answer: the nearest point found, its distance from the input,
     which method family produced it, the iteration count, and a nonnegative
-    optimality certificate (zero for closed forms).
+    optimality certificate (zero for closed forms) in the units of the kernel
+    that made it. For a point whose x.x overflows, an atom cone projects
+    x / 2^e with 2^e just above max |x_i| (see _project_huge), and the
+    certificate is that of x / 2^e, whose largest entry is in [0.5, 1).
 
     The input itself is returned for certified members: the point is then a
     copy of the input and the distance is exactly 0.0. The input is finite."""
@@ -119,17 +122,11 @@ def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: floa
 
 def _project_soc(x: np.ndarray) -> np.ndarray:
     y, t = x[:-1], float(x[-1])
-    ny = _norm(y)
+    ny = vec_norm(y)  # project scales a point whose x.x overflows first
     if ny <= t:
         return x.copy()
     if ny <= -t:
         return np.zeros_like(x)
-    if ny == math.inf:
-        # ||y|| is past the float range though y is finite (project rejects a
-        # non-finite point): project x / 2^k, 2^k >= sqrt(len(y)), and scale
-        # back; a power-of-two scale is exact
-        k = y.size.bit_length()
-        return np.ldexp(_project_soc(np.ldexp(x, -k)), k)
     c = ny / 2.0 + t / 2.0  # (ny + t) / 2 bitwise, and finite up to the float max
     out = np.empty_like(x)
     out[:-1] = (c / ny) * y
@@ -325,6 +322,9 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     if huge and not np.isfinite(x).all():
         raise ValueError("point has a non-finite entry")
 
+    if huge and isinstance(K, _ATOM_CONES) and getattr(K, "is_cone", True):
+        return _project_huge(K, x, tol)
+
     if isinstance(K, GallerySet):
         if K.project_fn is not None:
             return K.project_fn(x)
@@ -333,7 +333,7 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
         raise UnsupportedVariantError(f"gallery object {K.name!r} has no projector")
 
     if isinstance(K, NonnegativeOrthant):
-        return _result(x, np.maximum(x, 0.0), "closed_form", huge=huge)
+        return _result(x, np.maximum(x, 0.0), "closed_form")
 
     if isinstance(K, Halfspace):
         v = float(K.normal @ x) - K.offset
@@ -343,22 +343,22 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     if isinstance(K, LinearSubspace):
         p = (x @ K.basis.T) @ K.basis if K.subspace_dim else np.zeros_like(x)
         p, gap = _snap_member(x, p, 0.0, vec_norm(x))
-        return _result(x, p, "closed_form", 0, gap, huge=huge)
+        return _result(x, p, "closed_form", 0, gap)
 
     if isinstance(K, SecondOrderCone):
-        return _result(x, _project_soc(x), "closed_form", huge=huge)
+        return _result(x, _project_soc(x), "closed_form")
 
     if isinstance(K, PsdCone):
-        return _result(x, _project_psd(x), "eigen_clip", huge=huge)
+        return _result(x, _project_psd(x), "eigen_clip")
 
     if isinstance(K, PolyhedralCone):
         if K.generators is not None:
             p, lam, gap = project_conic_generators(K.generators, x)
-            return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap, huge=huge)
+            return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
         # inequality representation: Moreau with the dual cone's generators,
         # proj_K(x) = x + proj_{K*}(-x) for K = {x : Ax >= 0}, K* = cone{A^T}.
         q, lam, gap = project_conic_generators(K.inequalities, -x)
-        return _result(x, x + q, "hull_qp", int(np.count_nonzero(lam)), gap, huge=huge)
+        return _result(x, x + q, "hull_qp", int(np.count_nonzero(lam)), gap)
 
     if isinstance(K, ProductCone):
         rl = project(K.left, x[: K.left.dim], tol)
@@ -380,9 +380,30 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
 
     if isinstance(K, ConicHull):
         p, lam, gap = project_conic_generators(hull_points(K), x)
-        return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap, huge=huge)
+        return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
 
     raise UnsupportedVariantError(f"projection not implemented for {type(K).__name__}")
+
+
+# The atoms that are cones (a Halfspace is one when its offset is 0): their
+# projection commutes with scaling by a power of two, which is exact.
+_ATOM_CONES = (NonnegativeOrthant, Halfspace, LinearSubspace, SecondOrderCone, PsdCone,
+               PolyhedralCone, ConicHull)
+
+
+def _project_huge(K: ConeSpec, x: np.ndarray, tol: Tolerance) -> ProjectionResult:
+    """Projection of a finite x whose x.x overflows onto an atom cone: the
+    projection of x / 2^e, 2^e just above max |x_i|, scaled back by 2^e, so
+    that no kernel squares a number near the float max. Its certificate gap
+    is that of x / 2^e. Raises ValueError when the projection is past the
+    float range; the distance may be, and is then inf."""
+    e = math.frexp(float(np.abs(x).max()))[1]
+    r = project(K, np.ldexp(x, -e), tol)
+    with np.errstate(over="ignore"):
+        p = np.ldexp(r.point, e)
+    if not np.isfinite(p).all():
+        raise ValueError("the projection is past the float range")
+    return _result(x, p, r.method, r.iterations, r.certificate_gap, huge=True)
 
 
 def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> ProjectionResult:

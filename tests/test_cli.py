@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from conelab import cli
+from conelab import cli, gallery
 from conelab.checks import CheckResult
 
 
@@ -406,6 +406,56 @@ class TestFaceCommand:
         code, _, err = _run(capsys, ["face", "minimal", "--spec", orthant3])
         assert code == 1
         assert "--face or --point" in err
+
+
+_KNOWN_GALLERY = "nice_not_amenable_C, nice_not_amenable_K, cylinder_K_tilde, sturm_slice"
+
+
+class TestGalleryRegistry:
+    """The command line reads gallery.GALLERY: its names and its face names."""
+
+    @pytest.mark.parametrize(
+        "name, face", [(n, f) for n in gallery.GALLERY_NAMES for f in gallery.GALLERY[n].faces]
+    )
+    def test_named_face_resolves_with_its_name_as_kind(self, capsys, name, face):
+        code, out, _ = _run(capsys, ["face", "minimal", "--spec", name, "--face", face])
+        assert code == 0
+        assert _result(out)["kind"] == face
+
+    @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+    def test_gallery_spec_file_accepts_every_name(self, capsys, tmp_path, name):
+        p = tmp_path / "gallery.json"
+        p.write_text(json.dumps({"type": "gallery", "name": name, "density": 64}))
+        face = next(iter(gallery.GALLERY[name].faces))
+        code, out, _ = _run(capsys, ["face", "minimal", "--spec", str(p), "--face", face])
+        assert code == 0
+        assert _result(out)["kind"] == face
+
+    @pytest.mark.parametrize(
+        "name", ["cylinder_K_tilde_dual", "cylinder_dual_sum", "disk_top", "Sturm_slice", ["sturm_slice"]]
+    )
+    def test_other_names_are_refused(self, capsys, tmp_path, name):
+        assert gallery.GALLERY_NAMES == tuple(_KNOWN_GALLERY.split(", "))
+        if isinstance(name, str):
+            code, _, err = _run(capsys, ["project", "--spec", name, "--point", "0,0,0,1"])
+            assert code == 1
+            assert err == (
+                f"error: spec {name!r} is neither a file nor a gallery name ({_KNOWN_GALLERY})\n"
+            )
+        p = tmp_path / "gallery.json"
+        p.write_text(json.dumps({"type": "gallery", "name": name}))
+        code, _, err = _run(capsys, ["project", "--spec", str(p), "--point", "0,0,0,1"])
+        assert code == 1
+        assert err == f"error: spec: unknown gallery cone {name!r}; known names: {_KNOWN_GALLERY}\n"
+
+    @pytest.mark.parametrize("name", gallery.GALLERY_NAMES)
+    def test_unknown_face_lists_the_table_names(self, capsys, name):
+        code, _, err = _run(capsys, ["face", "minimal", "--spec", name, "--face", "equator"])
+        assert code == 1
+        names = ", ".join(sorted(gallery.GALLERY[name].faces))
+        assert err == (
+            f"error: --face 'equator' is neither a named face ({names}) nor a comma-separated point\n"
+        )
 
 
 class TestConstants:

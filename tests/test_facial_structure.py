@@ -168,6 +168,9 @@ class TestHandleMechanics:
         assert zero_face(PsdCone(2)).face_dim == 0
 
 
+_SEAM_RAYS = ("seam_ray_top", "seam_ray_bottom")
+
+
 def _stack_face(kind: str, seed: int) -> FaceHandle:
     """A face of the given kind, drawn from the seed."""
     rng = np.random.default_rng(seed)
@@ -187,19 +190,18 @@ def _stack_face(kind: str, seed: int) -> FaceHandle:
         # a generator face: one nnls solve per row
         G = np.abs(rng.standard_normal((5, 4))) + 0.1
         return minimal_face(PolyhedralCone(generators=G), G[0] + G[1])
+    # "seam_ray_top", "seam_ray_bottom" or "seam", by their registry names
     hull = gallery.cylinder_hull_objects().hull
-    if kind == "seam_ray":
-        return gallery.seam_ray_faces(hull)[seed % 2]
-    return gallery.seam_face(hull)
+    return gallery.GALLERY["cylinder_K_tilde"].faces[kind](hull)
 
 
 def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
-    """One-point projector formulas of the soc_ray, seam_ray and psd_range
+    """One-point projector formulas of the soc_ray, seam-ray and psd_range
     faces."""
     if F.descriptor["kind"] == "soc_ray":
         g = F.descriptor["generator"]
         return max(0.0, float(g @ x)) * g
-    if F.descriptor["kind"] == "seam_ray":
+    if F.descriptor["kind"] in _SEAM_RAYS:
         unit = F.span_basis[0]
         return max(float(unit @ x), 0.0) * unit
     U = F.descriptor["range_basis"]
@@ -210,7 +212,7 @@ def _reference_projection(F: FaceHandle, x: np.ndarray) -> np.ndarray:
 class TestStackedProjection:
     @settings(max_examples=40, deadline=None)
     @given(
-        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", "seam_ray", "poly_gens"]),
+        kind=st.sampled_from(["zero", "orthant", "soc_ray", "psd_range", *_SEAM_RAYS, "poly_gens"]),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
@@ -230,7 +232,7 @@ class TestStackedProjection:
         assert face_projection(F, X[:0]).shape == (0, F.ambient_dim)
         rows = [face_projection(F, x) for x in X]
         assert P.tobytes() == b"".join(r.tobytes() for r in rows)
-        if kind in ("soc_ray", "seam_ray", "psd_range"):
+        if kind in ("soc_ray", *_SEAM_RAYS, "psd_range"):
             assert P.tobytes() == b"".join(_reference_projection(F, x).tobytes() for x in X)
 
     @pytest.mark.parametrize("which", [0, 1])
@@ -279,7 +281,7 @@ def _reference_membership(F: FaceHandle, x: np.ndarray, tol=DEFAULT_TOL) -> bool
         return bool(c >= -e and np.linalg.norm(x - c * g) <= e)
     if kind == "psd_range":
         return bool(np.linalg.norm(x - _reference_projection(F, x)) <= tol.margin(scale))
-    if kind == "seam_ray":
+    if kind in _SEAM_RAYS:
         unit = F.span_basis[0]
         c = float(unit @ x)
         return bool(c >= -1e-9 * scale and np.linalg.norm(c * unit - x) <= 1e-9 * scale)
@@ -289,7 +291,7 @@ def _reference_membership(F: FaceHandle, x: np.ndarray, tol=DEFAULT_TOL) -> bool
     return bool(a >= -eps and b >= -eps and np.linalg.norm(a * top + b * bottom - x) <= eps)
 
 
-_MEMBER_KINDS = ["zero", "orthant", "soc_ray", "psd_range", "seam_ray", "seam_edge"]
+_MEMBER_KINDS = ["zero", "orthant", "soc_ray", "psd_range", *_SEAM_RAYS, "seam"]
 
 
 def _membership_rows(F: FaceHandle, seed: int) -> np.ndarray:
@@ -356,6 +358,49 @@ class TestStackedMembership:
             assert type(F.contains(face_samples(F, 1, np.random.default_rng(0))[0])) is bool
 
 
+# face inputs of the double-conjugate test, with the projections of their
+# conjugate faces pinned in test_polyhedral_conjugates_are_pinned
+_DOUBLE_CONJUGATE_CASES = {
+    "orthant": None,
+    "inequalities": [
+        [0.0, 0.2987455375084699, 0.0],
+        [0.0, 0.0, 0.0],
+        [0.0, 1.3402152455545335, 0.0],
+        [0.0, 0.4898420501851982, 0.0],
+    ],
+    "generators": [
+        [1.3118133348114184e-14, 1.3118133348114182e-14, -1.3118133348114182e-14],
+        [-0.1178720229775115, -0.11787202297751148, 0.11787202297751148],
+        [8.151350353025261e-15, 8.15135035302526e-15, -8.15135035302526e-15],
+        [-0.16250661926493434, -0.16250661926493432, 0.16250661926493432],
+    ],
+    "non_spanning": [
+        [0.0, 0.0, -0.2741378553622176],
+        [0.0, 0.0, -0.9916465549964624],
+        [0.0, 0.0, -0.49220651855132963],
+        [0.0, 0.0, 0.35688700816006075],
+    ],
+}
+
+
+def _double_conjugate_case(case: str):
+    """(K, F): an orthant face; the face of an inequality cone at (1, 0, 2);
+    a two-generator face of a square-based generated cone; and the full face
+    of cone{e1, e2} in R^3, which does not span the space."""
+    if case == "orthant":
+        K = NonnegativeOrthant(4)
+        return K, minimal_face(K, [1.0, 0.0, 2.0, 0.0])
+    if case == "inequalities":
+        K = PolyhedralCone(inequalities=np.eye(3))
+        return K, minimal_face(K, [1.0, 0.0, 2.0])
+    if case == "generators":
+        G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
+        K = PolyhedralCone(generators=G)
+        return K, minimal_face(K, G[0] + G[1])
+    K = PolyhedralCone(generators=np.eye(3)[:2])
+    return K, full_face(K)
+
+
 class TestConjugateFace:
     def test_orthant_support_swap(self):
         K = NonnegativeOrthant(3)
@@ -391,14 +436,26 @@ class TestConjugateFace:
         G = conjugate_face(K, zero_face(K))
         assert G.face_dim == 3
 
-    def test_double_conjugate_restores_exposed_face(self):
-        K = NonnegativeOrthant(4)
-        F = minimal_face(K, [1.0, 0.0, 2.0, 0.0])
+    @pytest.mark.parametrize("case", list(_DOUBLE_CONJUGATE_CASES))
+    def test_double_conjugate_restores_exposed_face(self, case):
+        K, F = _double_conjugate_case(case)
         G = conjugate_face(dual_cone(K), conjugate_face(K, F))
         assert G.face_dim == F.face_dim
         # same span
         gap = np.linalg.norm(F.span_basis - (F.span_basis @ G.span_basis.T) @ G.span_basis)
         assert gap <= 1e-12
+
+    @pytest.mark.parametrize("case", [c for c in _DOUBLE_CONJUGATE_CASES if c != "orthant"])
+    def test_polyhedral_conjugates_are_pinned(self, case):
+        # contains and face_projection of the conjugate face on a fixed point
+        # stream, as the face builders before their merge gave them
+        K, F = _double_conjugate_case(case)
+        G = conjugate_face(K, F)
+        X = np.random.default_rng(7).standard_normal((4, 3))
+        P = face_projection(G, X)
+        assert P.tolist() == _DOUBLE_CONJUGATE_CASES[case]
+        assert [G.contains(x) for x in X] == [False] * 4
+        assert [G.contains(p) for p in P] == [True] * 4
 
 
 class TestExposedness:

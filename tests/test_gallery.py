@@ -599,32 +599,22 @@ class TestSturmSlice:
         S = G.sturm_slice()
         F = G.sturm_face(S)
         for kappa in (1.0, 10.0):
-            eps = G.sturm_critical_eps(kappa) * 0.5
+            eps = 0.1 / kappa  # the sturm check's parameter
             fam = G.sturm_family(eps)
             dC = S.project_fn(fam.x_eps).distance
             dF = float(np.linalg.norm(fam.x_eps - F.exact_projector(fam.x_eps)))
             assert dF > kappa * (dC + fam.dist_to_aff_face)
 
-    def test_critical_eps(self):
-        assert G.sturm_critical_eps(1.0) == pytest.approx(1.0 / 16.0)
-        with pytest.raises(ValueError):
-            G.sturm_critical_eps(0.0)
-
 
 class TestRegistry:
     def test_names_resolve(self):
+        assert G.GALLERY_NAMES == tuple(G.GALLERY)
         for name in G.GALLERY_NAMES:
-            assert G.gallery_by_name(name).name == name
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            G.gallery_by_name("no_such_object")
+            assert G.GALLERY[name].build(2048).name == name
 
     def test_named_faces(self):
-        C = G.gallery_by_name("nice_not_amenable_C")
-        assert G.named_face(C, "disk_alpha").descriptor["kind"] == "disk_top"
-        assert G.named_face(C, "vertex_alpha:3.14").face_dim == 0
-        K = G.gallery_by_name("nice_not_amenable_K")
-        assert G.named_face(K, "lifted_disk").face_dim == 3
-        with pytest.raises(KeyError):
-            G.named_face(C, "lifted_disk")
+        C = G.GALLERY["nice_not_amenable_C"].build(2048)
+        assert G.GALLERY["nice_not_amenable_C"].faces["disk_top"](C).descriptor["kind"] == "disk_top"
+        assert "lifted_disk" not in G.GALLERY["nice_not_amenable_C"].faces
+        K = G.GALLERY["nice_not_amenable_K"].build(2048)
+        assert G.GALLERY["nice_not_amenable_K"].faces["lifted_disk"](K).face_dim == 3

@@ -12,7 +12,6 @@ from conelab.linalg_core import (
     DimensionMismatchError,
     Tolerance,
     complement_basis,
-    distance_to_affine,
     _embed,
     _is_symmetric,
     _triangle,
@@ -90,7 +89,6 @@ class TestAffineSubspace:
         A = AffineSubspace(np.array([0.0, 0.0, 1.0]), np.eye(3)[:2])
         np.testing.assert_allclose(A.project([2.0, -3.0, 7.0]), [2.0, -3.0, 1.0])
         assert A.distance([0.0, 0.0, 4.0]) == pytest.approx(3.0)
-        assert distance_to_affine([0.0, 0.0, 4.0], A) == pytest.approx(3.0)
 
     def test_point_subspace(self):
         P = AffineSubspace(np.array([1.0, 2.0]), np.zeros((0, 2)))

@@ -25,7 +25,6 @@ from conelab.proj_exposed import (
     SungTamResult,
     build_rank_one_projection,
     build_rank_two_projection,
-    certify_projection,
     codim1_amenable_implies_pexp_check,
     extreme_ray_samples,
     sung_tam_probe,
@@ -274,32 +273,23 @@ class TestRankTwo:
         assert np.allclose(pm.matrix, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
-class TestCertifyProjection:
+class TestCertificationCounts:
+    # the sampled checks the constructors run, on explicitly given matrices
     def test_explicit_seam_matrix_certifies(self, cylinder):
         F = gallery.seam_face(cylinder.hull)
-        pm = certify_projection(SEAM_MATRIX, cylinder.hull, F, n_samples=2000)
-        assert pm.idempotency_residual == 0.0
-        assert pm.containment_violations == 0
-        assert pm.certified
-        assert pm.pairing_residual is None
+        idem, violations, _ = _certification_counts(SEAM_MATRIX, cylinder.hull, F, 2000, 0)
+        assert (idem, violations) == (0.0, 0)
 
     def test_non_idempotent_matrix_reported(self, cylinder):
         F = gallery.seam_face(cylinder.hull)
-        pm = certify_projection(0.5 * SEAM_MATRIX, cylinder.hull, F, n_samples=200)
-        assert pm.idempotency_residual > 0.1
-        assert not pm.certified
+        idem, _, _ = _certification_counts(0.5 * SEAM_MATRIX, cylinder.hull, F, 200, 0)
+        assert idem > 0.1
 
     def test_identity_map_violates_containment(self, cylinder):
         F = gallery.seam_face(cylinder.hull)
-        pm = certify_projection(np.eye(4), cylinder.hull, F, n_samples=500)
-        assert pm.idempotency_residual == 0.0
-        assert pm.containment_violations > 0
-        assert not pm.certified
-
-    def test_rejects_non_square(self, cylinder):
-        F = gallery.seam_face(cylinder.hull)
-        with pytest.raises(ValueError, match="square"):
-            certify_projection(np.ones((2, 3)), cylinder.hull, F)
+        idem, violations, _ = _certification_counts(np.eye(4), cylinder.hull, F, 500, 0)
+        assert idem == 0.0
+        assert violations > 0
 
 
 def _looped_certification_counts(P, K, F, n_samples, seed):
@@ -349,7 +339,7 @@ class TestStackedCertification:
             counts = _certification_counts(P, K, F, 1000, 11)
             assert counts == _looped_certification_counts(P, K, F, 1000, 11), label
             assert counts[1] == 0, label
-        assert kinds == {"orthant", "psd_range", "seam_ray", "seam_edge", "diagonal"}
+        assert kinds == {"orthant", "psd_range", "seam_ray_top", "seam", "diagonal"}
 
     def test_diagonal_counts_equal_the_generator_face(self, retractions):
         # the closed-form diagonal face against the nnls-based face it replaced,

@@ -1,5 +1,6 @@
 """Tests for closed-form projections, generator cones, hulls, and Dykstra."""
 import math
+import warnings
 from functools import lru_cache
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from scipy.optimize import minimize, nnls
 from conelab import gallery, linalg_core, projection_engine
 from conelab.cone_algebra import (
     ConicHull,
+    Halfspace,
     IntersectionCone,
     LinearImageCone,
     LinearSubspace,
@@ -490,6 +492,36 @@ class TestNonFinitePoints:
         assert p.tobytes() == np.ldexp(project_scaled_soc(np.ldexp(x, -600), slope), 600).tobytes()
         if slope == 1.0:
             assert p.tobytes() == project(SecondOrderCone(10), x).point.tobytes()
+
+    NEAR_MAX_3 = np.array([1.7e308, -1.7e308, 1.7e308])
+
+    @pytest.mark.parametrize(
+        "K, expected, distance",
+        [(LinearSubspace(np.array([[1.0, 1.0, 0.0]])), [0.0, 0.0, 0.0], math.inf),
+         (PolyhedralCone(generators=np.eye(3)), [1.7e308, 0.0, 1.7e308], 1.7e308),
+         (Halfspace(np.array([1.0, -1.0, 0.0])), [0.0, 0.0, 1.7e308], math.inf),
+         (PolyhedralCone(inequalities=np.eye(3)), [1.7e308, 0.0, 1.7e308], 1.7e308)],
+        ids=["subspace", "generators", "halfspace", "inequalities"],
+    )
+    def test_near_max_point_is_the_scaled_projection(self, K, expected, distance):
+        # x.x overflows: the cone projects x / 2^1024 and scales back, so no
+        # kernel sees a square past the float max and nothing warns
+        x = self.NEAR_MAX_3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project(K, x)
+        small = project(K, np.ldexp(x, -1024))
+        assert r.point.tobytes() == np.ldexp(small.point, 1024).tobytes()
+        np.testing.assert_allclose(r.point, expected, rtol=1e-15, atol=1e-15 * 1.7e308)
+        assert r.distance == pytest.approx(distance, rel=1e-15)
+        assert r.certificate_gap == small.certificate_gap
+
+    def test_soc_projection_past_the_float_max_raises(self):
+        # the answer's last coordinate, (||y|| + t) / 2, is about 2.05e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="past the float range"):
+                project(SecondOrderCone(3), self.NEAR_MAX_3)
 
     @pytest.mark.parametrize(
         "K, member",
