@@ -14,14 +14,14 @@ All three return an ErrorBoundEstimate. A sampled maximum ratio is a valid
 lower bound on any constant that works for the region, so kappa_hat is always
 trustworthy in that direction; verdicts about boundedness are sampling-based
 evidence, never proofs, and every report says so. Two finite decision rules
-(knobs with defaults, stated here rather than hidden) pick the verdict:
+(module constants, stated here rather than hidden) pick the verdict:
 
 * growth_detected: a rotating coordinate search seeded at the worst sample
   (and at an optional caller-supplied point) raises the ratio more than
-  ``growth_factor`` times above the sampled maximum within ``refine_rounds``
-  rounds,
+  GROWTH_FACTOR times above the sampled maximum within REFINE_ROUNDS
+  rounds (estimate_kappa's refine_rounds),
 * bounded: doubling the sample count moves the maximum ratio by less than
-  ``drift_tol`` relative change, and no growth was found,
+  DRIFT_TOL relative change, and no growth was found,
 * inconclusive: anything else.
 
 Draws come from a per-point stream, so a larger n_samples with the same seed
@@ -57,6 +57,13 @@ __all__ = [
     "evaluate_witness",
     "ratio_table",
 ]
+
+# Verdict rules (see the module docstring) and the growth search's default
+# effort: rounds of the rotating search, and coordinate cycles per round.
+GROWTH_FACTOR = 10.0
+DRIFT_TOL = 0.10
+REFINE_ROUNDS = 3
+REFINE_CYCLES = 10
 
 
 class EmptyRegionError(ValueError):
@@ -108,15 +115,13 @@ class ErrorBoundEstimate:
     refine_gain: float = 1.0
 
     def to_report(self) -> dict:
-        reg = {"center": [float(v) for v in self.region.center]}
-        if self.region.radius is not None:
-            reg["radius"] = float(self.region.radius)
-        else:
-            reg["box"] = [[float(a), float(b)] for a, b in self.region.box]
         return {
             "cone": _spec_label(self.cone),
             "face": _face_label(self.face),
-            "region": reg,
+            "region": {
+                "center": [float(v) for v in self.region.center],
+                "radius": float(self.region.radius),
+            },
             "seed": self.seed,
             "kappa_hat": self.kappa_hat,
             "verdict": self.verdict,
@@ -295,25 +300,23 @@ def _climb(meas_at, clamp, c0: np.ndarray, scale: float, rounds: int, cycles: in
     return path, best
 
 
-def _decide(draw_half: float, draw_full: float, refined: float,
-            growth_factor: float, drift_tol: float):
+def _decide(draw_half: float, draw_full: float, refined: float):
     gain = refined / max(draw_full, 1e-300)
-    if draw_full > 0 and gain > growth_factor:
+    if draw_full > 0 and gain > GROWTH_FACTOR:
         return "growth_detected", gain
     if refined > 0 and draw_full == 0.0:
         return "growth_detected", float("inf")
     if draw_full == 0.0:
         return "inconclusive", 1.0
     drift = (draw_full - draw_half) / max(draw_half, 1e-300)
-    if drift < drift_tol:
+    if drift < DRIFT_TOL:
         return "bounded", gain
     return "inconclusive", gain
 
 
 def _run_probe(K, F, region, aff, denominator, n_samples, seed,
                draw_coords, to_point, clamp, scale,
-               refine_coords, growth_factor, refine_rounds, refine_cycles,
-               drift_tol) -> ErrorBoundEstimate:
+               refine_coords, refine_rounds, refine_cycles) -> ErrorBoundEstimate:
     rng = np.random.default_rng(seed)
     meas = _measurer(K, F, aff, denominator)
 
@@ -337,7 +340,7 @@ def _run_probe(K, F, region, aff, denominator, n_samples, seed,
         samples.extend(path)
         refined = max(refined, top)
 
-    verdict, gain = _decide(draw_half, draw_full, refined, growth_factor, drift_tol)
+    verdict, gain = _decide(draw_half, draw_full, refined)
     drift = (draw_full - draw_half) / max(draw_half, 1e-300) if draw_half > 0 else 0.0
     kappa_hat = max(draw_full, refined)
     return ErrorBoundEstimate(
@@ -356,53 +359,14 @@ def _run_probe(K, F, region, aff, denominator, n_samples, seed,
 def _affine_ball(aff: AffineSubspace, region: BoundedRegion):
     """Coordinates of the region's slice through the affine hull: a center in
     span coordinates and a radius. Raises when the slice is empty."""
-    if region.radius is not None:
-        p0 = aff.project(region.center)
-        off = float(np.linalg.norm(p0 - region.center))
-        if off > region.radius * (1.0 + 1e-12) + 1e-12:
-            raise EmptyRegionError(
-                f"region misses the affine hull of the face by {off - region.radius:.3g}"
-            )
-        rho = float(np.sqrt(max(region.radius**2 - off**2, 0.0)))
-        return aff.coordinates(p0), rho
-    # box: locate any point of the box on the affine hull, then use the
-    # circumscribed ball in coordinates with rejection at draw time
-    mid = region.box.mean(axis=1)
-    p0 = aff.project(mid)
-    if not region.contains(p0, slack=1e-9):
-        probe = np.random.default_rng(0)
-        hit = None
-        for _ in range(512):
-            q = aff.project(region.sample(1, probe)[0])
-            if region.contains(q, slack=1e-9):
-                hit = q
-                break
-        if hit is None:
-            raise EmptyRegionError("no point of the box found on the affine hull of the face")
-        p0 = hit
-    rho = float(np.linalg.norm(region.box[:, 1] - region.box[:, 0])) / 2.0
+    p0 = aff.project(region.center)
+    off = float(np.linalg.norm(p0 - region.center))
+    if off > region.radius * (1.0 + 1e-12) + 1e-12:
+        raise EmptyRegionError(
+            f"region misses the affine hull of the face by {off - region.radius:.3g}"
+        )
+    rho = float(np.sqrt(max(region.radius**2 - off**2, 0.0)))
     return aff.coordinates(p0), rho
-
-
-def _clamp_box_aff(c, aff: AffineSubspace, region: BoundedRegion, c_center):
-    """Clamp affine coordinates so the ambient point stays in the box, by
-    alternating clip/affine projection with a bisection fallback."""
-    p = aff.from_coordinates(c)
-    for _ in range(10):
-        if region.contains(p, slack=1e-9):
-            return aff.coordinates(p)
-        p = aff.project(np.clip(p, region.box[:, 0], region.box[:, 1]))
-    lo, hi = 0.0, 1.0
-    base = aff.from_coordinates(c_center)
-    target = aff.from_coordinates(c)
-    for _ in range(60):
-        m = 0.5 * (lo + hi)
-        q = base + m * (target - base)
-        if region.contains(q, slack=1e-9):
-            lo = m
-        else:
-            hi = m
-    return aff.coordinates(base + lo * (target - base))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +376,8 @@ def _clamp_box_aff(c, aff: AffineSubspace, region: BoundedRegion, c_center):
 
 def estimate_kappa(K: ConeSpec, F: FaceHandle, region: BoundedRegion,
                    n_samples: int = 256, sampler_seed: int = 0, *,
-                   refine_from=None, growth_factor: float = 10.0,
-                   refine_rounds: int = 3, refine_cycles: int = 10,
-                   drift_tol: float = 0.10) -> ErrorBoundEstimate:
+                   refine_from=None, refine_rounds: int = REFINE_ROUNDS,
+                   refine_cycles: int = REFINE_CYCLES) -> ErrorBoundEstimate:
     """Sample dist(x, F) / dist(x, C) over aff(F) intersected with the region.
 
     Draws 2 * n_samples points (the first half doubles to the second for the
@@ -424,23 +387,6 @@ def estimate_kappa(K: ConeSpec, F: FaceHandle, region: BoundedRegion,
     aff = F.affine()
     c_center, rho = _affine_ball(aff, region)
     scale = max(rho / 4.0, 1e-8)
-
-    if region.radius is not None:
-        to_point = aff.from_coordinates
-        clamp = lambda c: _clamp_ball(c, c_center, rho)
-
-        def draw_coords(rng):
-            return _ball_point(c_center, rho, rng)
-    else:
-        to_point = aff.from_coordinates
-        clamp = lambda c: _clamp_box_aff(c, aff, region, c_center)
-
-        def draw_coords(rng):
-            for _ in range(1000):
-                c = _ball_point(c_center, rho, rng)
-                if region.contains(aff.from_coordinates(c), slack=1e-9):
-                    return c
-            raise EmptyRegionError("box region rejects every draw on the affine hull")
 
     refine_coords = []
     if refine_from is not None:
@@ -452,28 +398,16 @@ def estimate_kappa(K: ConeSpec, F: FaceHandle, region: BoundedRegion,
         refine_coords.append(aff.coordinates(p))
 
     return _run_probe(K, F, region, aff, "cone", n_samples, sampler_seed,
-                      draw_coords, to_point, clamp, scale, refine_coords,
-                      growth_factor, refine_rounds, refine_cycles, drift_tol)
+                      lambda rng: _ball_point(c_center, rho, rng),
+                      aff.from_coordinates, lambda c: _clamp_ball(c, c_center, rho),
+                      scale, refine_coords, refine_rounds, refine_cycles)
 
 
 def _ambient_probe(K, F, region, denominator, n_samples, seed, refine_from,
-                   growth_factor, refine_rounds, refine_cycles, drift_tol):
+                   refine_cycles):
     aff = F.affine()
     # the region must meet the affine hull for the ratios to say anything
     _affine_ball(aff, region)
-
-    if region.radius is not None:
-        scale = max(region.radius / 4.0, 1e-8)
-        clamp = lambda p: _clamp_ball(p, region.center, region.radius)
-    else:
-        scale = max(float(np.max(region.box[:, 1] - region.box[:, 0])) / 4.0, 1e-8)
-        clamp = lambda p: np.clip(p, region.box[:, 0], region.box[:, 1])
-
-    def draw_coords(rng):
-        if region.radius is not None:
-            return _ball_point(region.center, region.radius, rng)
-        lo, hi = region.box[:, 0], region.box[:, 1]
-        return lo + rng.random(lo.shape[0]) * (hi - lo)
 
     refine_coords = []
     if refine_from is not None:
@@ -483,15 +417,14 @@ def _ambient_probe(K, F, region, denominator, n_samples, seed, refine_from,
         refine_coords.append(p)
 
     return _run_probe(K, F, region, aff, denominator, n_samples, seed,
-                      draw_coords, lambda p: p, clamp, scale, refine_coords,
-                      growth_factor, refine_rounds, refine_cycles, drift_tol)
+                      lambda rng: _ball_point(region.center, region.radius, rng),
+                      lambda p: p, lambda p: _clamp_ball(p, region.center, region.radius),
+                      max(region.radius / 4.0, 1e-8), refine_coords,
+                      REFINE_ROUNDS, refine_cycles)
 
 
 def blr_check(K: ConeSpec, F: FaceHandle, region: BoundedRegion,
-              n_samples: int = 256, sampler_seed: int = 0, *,
-              refine_from=None, growth_factor: float = 10.0,
-              refine_rounds: int = 3, refine_cycles: int = 10,
-              drift_tol: float = 0.10) -> ErrorBoundEstimate:
+              n_samples: int = 256, sampler_seed: int = 0) -> ErrorBoundEstimate:
     """Sample dist(x, F) / max(dist(x, aff F), dist(x, C)) over the region.
 
     Unlike estimate_kappa the draws cover the full region, not only the
@@ -499,16 +432,14 @@ def blr_check(K: ConeSpec, F: FaceHandle, region: BoundedRegion,
     on any shared input, and the test suite checks that rather than assuming
     it.
     """
-    return _ambient_probe(K, F, region, "max", n_samples, sampler_seed,
-                          refine_from, growth_factor, refine_rounds,
-                          refine_cycles, drift_tol)
+    return _ambient_probe(K, F, region, "max", n_samples, sampler_seed, None,
+                          REFINE_CYCLES)
 
 
 def subtransversality_check(K: ConeSpec, F: FaceHandle, x_star, radius: float,
                             n_samples: int = 256, sampler_seed: int = 0, *,
-                            refine_from=None, growth_factor: float = 10.0,
-                            refine_rounds: int = 3, refine_cycles: int = 10,
-                            drift_tol: float = 0.10) -> ErrorBoundEstimate:
+                            refine_from=None,
+                            refine_cycles: int = REFINE_CYCLES) -> ErrorBoundEstimate:
     """Local probe at x_star on the face: sample the ball of the given radius
     and measure dist(x, F) / (dist(x, aff F) + dist(x, C)). A stabilized
     finite maximum is evidence for a local error bound at x_star."""
@@ -517,8 +448,7 @@ def subtransversality_check(K: ConeSpec, F: FaceHandle, x_star, radius: float,
         raise ValueError("x_star must lie on the face")
     region = BoundedRegion(center=x_star, radius=float(radius))
     return _ambient_probe(K, F, region, "sum", n_samples, sampler_seed,
-                          refine_from, growth_factor, refine_rounds,
-                          refine_cycles, drift_tol)
+                          refine_from, refine_cycles)
 
 
 def ratio_table(K: ConeSpec, F: FaceHandle, points, denominator: str = "max"):

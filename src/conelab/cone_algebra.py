@@ -318,16 +318,16 @@ class ConicHull(ConeSpec):
 class GallerySet(ConeSpec):
     """Named object from the example gallery.
 
-    Carries optional closures that override the generic engines; anything not
-    overridden is delegated to `inner`. `is_cone` is False for the compact
-    convex sets in the gallery (their names are kept for the probes, which
-    work with convex sets directly).
+    Each operation is one of its closures: membership, projection, sampling
+    and the dual, with the slice and span dimension read from `extra`. An
+    operation whose closure is missing raises UnsupportedVariantError.
+    `is_cone` is False for the compact convex sets in the gallery (their
+    names are kept for the probes, which work with convex sets directly).
     """
 
     name: str
     ambient_dim: int
     is_cone: bool = True
-    inner: ConeSpec | None = None
     member_fn: Callable | None = None
     project_fn: Callable | None = None
     sample_fn: Callable | None = None
@@ -384,8 +384,6 @@ def membership(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult
     if isinstance(K, GallerySet):
         if K.member_fn is not None:
             return K.member_fn(x, tol)
-        if K.inner is not None:
-            return membership(K.inner, x, tol)
         raise UnsupportedVariantError(f"gallery object {K.name!r} has no membership rule")
 
     if isinstance(K, NonnegativeOrthant):
@@ -544,8 +542,6 @@ def dual_cone(K: ConeSpec) -> ConeSpec:
     if isinstance(K, GallerySet):
         if K.dual_factory is not None:
             return K.dual_factory()
-        if K.inner is not None:
-            return dual_cone(K.inner)
         raise DualUnavailableError(f"gallery object {K.name!r} has no dual rule")
     raise DualUnavailableError(f"no closed-form dual for {type(K).__name__}")
 
@@ -559,22 +555,18 @@ def get_slice(K: ConeSpec) -> SliceSpec | None:
     if isinstance(K, ConicHull):
         return K.slice_spec
     if isinstance(K, GallerySet):
-        s = K.extra.get("slice")
-        if s is not None:
-            return s
-        if K.inner is not None:
-            return get_slice(K.inner)
+        return K.extra.get("slice")
     return None
 
 
-def rescale_to_slice(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def rescale_to_slice(K: ConeSpec, x) -> np.ndarray:
     """Map x to the slice hyperplane of a conic hull by positive rescaling."""
     s = get_slice(K)
     if s is None:
         raise UnsupportedVariantError("spec carries no slice data")
     x = np.asarray(x, dtype=float)
     val = float(s.e @ x)
-    if val <= tol.margin(float(np.linalg.norm(x))):
+    if val <= DEFAULT_TOL.margin(float(np.linalg.norm(x))):
         raise NotRescalableError(f"slice pairing {val:.3e} is not positive")
     return x * (s.level / val)
 
@@ -596,8 +588,6 @@ def sample_points(K: ConeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(K, GallerySet):
         if K.sample_fn is not None:
             return K.sample_fn(n, rng)
-        if K.inner is not None:
-            return sample_points(K.inner, n, rng)
         raise UnsupportedVariantError(f"gallery object {K.name!r} has no sampler")
     if isinstance(K, NonnegativeOrthant):
         return rng.gamma(1.0, 1.0, size=(n, K.dim))
@@ -667,6 +657,4 @@ def cone_span_dim(K: ConeSpec) -> int:
     if isinstance(K, GallerySet):
         if "span_dim" in K.extra:
             return K.extra["span_dim"]
-        if K.inner is not None:
-            return cone_span_dim(K.inner)
     raise UnsupportedVariantError(f"span dimension unknown for {type(K).__name__}")

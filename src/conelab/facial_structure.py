@@ -132,7 +132,7 @@ _STACKED_KINDS = frozenset(
 _STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam"}
 
 
-def face_contains(F: FaceHandle, X, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def face_contains(F: FaceHandle, X) -> np.ndarray:
     """Membership verdicts for an (n, d) stack of points, one bool per row.
 
     The stacked kinds of FaceHandle ("zero", "orthant", "soc_ray",
@@ -146,9 +146,9 @@ def face_contains(F: FaceHandle, X, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if F.descriptor.get("kind") in _STACKED_MEMBERSHIP:
         finite = np.all(np.isfinite(X), axis=-1)
         out = np.zeros(finite.shape, dtype=bool)
-        out[finite] = F.membership(X[finite], tol)
+        out[finite] = F.membership(X[finite], DEFAULT_TOL)
         return out
-    return np.array([F.contains(x, tol) for x in X], dtype=bool)
+    return np.array([F.contains(x) for x in X], dtype=bool)
 
 
 def face_projection(F: FaceHandle, x) -> np.ndarray:
@@ -484,18 +484,17 @@ class ExposednessResult:
     certificate: FaceHandle | None = None
 
 
-def _far_filter(samples: np.ndarray, F: FaceHandle, rel: float = 0.05) -> np.ndarray:
-    """Unit-normalize samples and keep those at distance >= rel from the face."""
+def _far_filter(samples: np.ndarray, F: FaceHandle) -> np.ndarray:
+    """Unit-normalize samples and keep those at distance >= 0.05 from the face."""
     ns = row_norms(samples)
     keep = ns >= 1e-12
     U = samples[keep] / ns[keep, None]
-    return U[row_norms(U - face_projection(F, U)) >= rel]
+    return U[row_norms(U - face_projection(F, U)) >= 0.05]
 
 
-def separation_margin_probe(samples: np.ndarray, v: np.ndarray, exclude_radius: float = 1e-6,
-                            iters: int = 400):
-    """Maximize  <p, v> - max_y <p, y>  over the unit ball of p by projected
-    supergradient ascent; y runs over the sample cloud minus a small ball at v.
+def separation_margin_probe(samples: np.ndarray, v: np.ndarray, exclude_radius: float = 1e-6):
+    """Maximize  <p, v> - max_y <p, y>  over the unit ball of p by 400 steps of
+    projected supergradient ascent; y runs over the sample cloud minus a small ball at v.
     A positive optimum certifies that v is an exposed point of the hull; a
     numerically zero optimum reports the tie set of the best p found."""
     keep = np.linalg.norm(samples - v, axis=1) > exclude_radius
@@ -504,7 +503,7 @@ def separation_margin_probe(samples: np.ndarray, v: np.ndarray, exclude_radius: 
     nrm = np.linalg.norm(p)
     p = p / nrm if nrm > 1e-12 else np.ones(v.shape[0]) / np.sqrt(v.shape[0])
     best_m, best_p = -np.inf, p.copy()
-    for k in range(1, iters + 1):
+    for k in range(1, 401):
         scores = Y @ p
         j = int(np.argmax(scores))
         m = float(p @ v - scores[j])
@@ -538,7 +537,7 @@ def is_exposed(
     rng = np.random.default_rng(seed)
 
     if isinstance(K, GallerySet) and not K.is_cone:
-        return _is_exposed_set(K, F, tol, n_samples, rng)
+        return _is_exposed_set(K, F, n_samples, rng)
 
     # improper face: exposed by the zero functional
     if F.descriptor.get("kind") == "full" or F.face_dim == cone_span_dim(K):
@@ -588,7 +587,7 @@ def is_exposed(
     return ExposednessResult("undecided", witness, 0.0, 0.0, None)
 
 
-def _is_exposed_set(K: GallerySet, F: FaceHandle, tol: Tolerance, n_samples: int, rng) -> ExposednessResult:
+def _is_exposed_set(K: GallerySet, F: FaceHandle, n_samples: int, rng) -> ExposednessResult:
     cloud_fn = K.extra.get("dense_samples")
     samples = cloud_fn() if cloud_fn is not None else sample_points(K, n_samples, rng)
 
@@ -657,7 +656,7 @@ class DualSumResult:
     route: str  # closed_form | minimization | support_gap
 
 
-def dual_sum_membership(K: ConeSpec, F: FaceHandle, s, tol: Tolerance = DEFAULT_TOL) -> DualSumResult:
+def dual_sum_membership(K: ConeSpec, F: FaceHandle, s) -> DualSumResult:
     """Decide s in dual(K) + orthogonal_complement(span F) and return a
     decomposition when one exists.
 

@@ -49,15 +49,11 @@ import numpy as np
 from .cone_algebra import (
     ConicHull,
     GallerySet,
-    IntersectionCone,
-    LinearImageCone,
-    LinearSubspace,
     Membership,
     MembershipResult,
-    PolyhedralCone,
-    ProductCone,
-    SecondOrderCone,
     SliceSpec,
+    _classify,
+    membership,
 )
 from .facial_structure import DualSumResult, FaceHandle
 from .linalg_core import DEFAULT_TOL, Tolerance, norm_scale, orthonormalize, row_dots, row_norms
@@ -256,8 +252,14 @@ def _min_separation_slack(t: float, u: float, n: int):
     return min(float(slack[j]), float(res.fun)), float(res.x)
 
 
-def exposing_normal_u(t: float, n_grid: int = 4096, margin: float = 1e-3,
-                      verify_n: int = 16384) -> float:
+# Arc grid of the ratio maximization, relative-plus-absolute margin on u(t),
+# and the denser arc grid that verifies the separation.
+_NORMAL_GRID = 4096
+_NORMAL_MARGIN = 1e-3
+_NORMAL_VERIFY_N = 16384
+
+
+def exposing_normal_u(t: float) -> float:
     """Third coordinate u(t) of the normal exposing the top-circle point at
     parameter t: the positive part of the arc-ratio supremum, inflated by a
     relative-plus-absolute margin and verified against a denser grid.
@@ -274,12 +276,13 @@ def exposing_normal_u(t: float, n_grid: int = 4096, margin: float = 1e-3,
     t = float(t)
     if not 0.0 < t < 2.0 * np.pi:
         raise ValueError("parameter must lie strictly between 0 and 2*pi")
-    v, _ = _ratio_grid_max(t, n_grid)
+    margin = _NORMAL_MARGIN
+    v, _ = _ratio_grid_max(t, _NORMAL_GRID)
     u = (1.0 + margin) * max(0.0, v) + margin
-    slack, s_bad = _min_separation_slack(t, u, verify_n)
+    slack, s_bad = _min_separation_slack(t, u, _NORMAL_VERIFY_N)
     if slack <= 0.0:
         # refine once: denser global grid plus a window at the violation
-        v2, _ = _ratio_grid_max(t, 8 * n_grid)
+        v2, _ = _ratio_grid_max(t, 8 * _NORMAL_GRID)
         res = minimize_scalar(
             lambda q: -_normal_ratio(q, t),
             bounds=(max(1e-12, s_bad - 1e-3), min(np.pi - 1e-12, s_bad + 1e-3)),
@@ -287,7 +290,7 @@ def exposing_normal_u(t: float, n_grid: int = 4096, margin: float = 1e-3,
             options={"xatol": 1e-15},
         )
         u = (1.0 + margin) * max(0.0, v2, float(-res.fun)) + margin
-        slack, _ = _min_separation_slack(t, u, verify_n)
+        slack, _ = _min_separation_slack(t, u, _NORMAL_VERIFY_N)
         if slack <= 0.0:
             raise VerificationGridError(
                 f"normal at t={t} fails separation by {slack:.3e} after refinement"
@@ -295,9 +298,9 @@ def exposing_normal_u(t: float, n_grid: int = 4096, margin: float = 1e-3,
     return u
 
 
-def exposing_normal(t: float, **kwargs) -> np.ndarray:
+def exposing_normal(t: float) -> np.ndarray:
     """The normal (cos t, sin t, u(t)) exposing the top-circle point at t."""
-    u = exposing_normal_u(t, **kwargs)
+    u = exposing_normal_u(t)
     return np.array([np.cos(t), np.sin(t), u])
 
 
@@ -469,10 +472,7 @@ def body(density: int = 2048) -> GallerySet:
         member_fn=member_fn,
         project_fn=project_fn,
         sample_fn=sample_fn,
-        extra={
-            "dense_samples": lambda: pts,
-            "density": density,
-        },
+        extra={"dense_samples": lambda: pts},
     )
 
 
@@ -483,13 +483,19 @@ def _lifted_cloud(density: int):
 
 @lru_cache(maxsize=8)
 def conic_hull_of_body(density: int = 2048) -> GallerySet:
-    """The conic hull of the body, lifted to R^4 by appending a 1."""
+    """The conic hull of the body, lifted to R^4 by appending a 1.
+
+    Membership is that of the ConicHull of the lifted cloud; projection
+    solves over the cloud refined near the query's shadow angle."""
     lifted, _ = _lifted_cloud(density)
     slice_spec = SliceSpec(
         e=np.array([0.0, 0.0, 0.0, 1.0]),
         sampler=lambda n: _lifted_cloud(max(int(n), 8))[0],
     )
-    inner = ConicHull(slice_spec, density=density)
+    hull = ConicHull(slice_spec, density=density)
+
+    def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
+        return membership(hull, x, tol)
 
     def sample_fn(n, rng):
         idx = rng.integers(0, lifted.shape[0], size=(n, 4))
@@ -515,13 +521,11 @@ def conic_hull_of_body(density: int = 2048) -> GallerySet:
         name="nice_not_amenable_K",
         ambient_dim=4,
         is_cone=True,
-        inner=inner,
+        member_fn=member_fn,
         project_fn=project_fn,
         sample_fn=sample_fn,
         extra={
             "slice": slice_spec,
-            "dense_samples": lambda: lifted,
-            "density": density,
             "span_dim": 4,
             "dual_rays": lambda n: dual_ray_samples(n),
         },
@@ -533,7 +537,10 @@ def conic_hull_of_body(density: int = 2048) -> GallerySet:
 # ---------------------------------------------------------------------------
 
 
-def _disk_projector(height: float):
+def _disk_face(C: GallerySet, height: float, kind: str) -> FaceHandle:
+    """The unit disk {(x, y, height) : x^2 + y^2 <= 1}, exposed by
+    (0, 0, height) at support value 1, for height +1 or -1."""
+
     def proj(x):
         x = np.asarray(x, dtype=float)
         v = x[:2].copy()
@@ -542,62 +549,38 @@ def _disk_projector(height: float):
             v /= nv
         return np.array([v[0], v[1], height])
 
-    return proj
+    def member(x, tol=DEFAULT_TOL):
+        x = np.asarray(x, dtype=float)
+        return bool(abs(x[2] - height) <= 1e-9 and np.linalg.norm(x[:2]) <= 1.0 + 1e-9)
 
-
-def _disk_sampler(height: float):
     def sampler(n, rng):
         r = np.sqrt(rng.uniform(0.0, 1.0, size=n))
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
         return np.column_stack([r * np.cos(th), r * np.sin(th), np.full(n, height)])
 
-    return sampler
+    return FaceHandle(
+        parent=C,
+        span_basis=np.eye(3)[:2],
+        membership=member,
+        exact_projector=proj,
+        descriptor={
+            "kind": kind,
+            "witness": np.array([0.0, 0.0, height]),
+            "support_value": 1.0,
+            "sampler": sampler,
+        },
+        affine_basepoint=np.array([0.0, 0.0, height]),
+    )
 
 
 def face_disk_top(C: GallerySet) -> FaceHandle:
     """The top unit disk {(x, y, 1) : x^2 + y^2 <= 1}, exposed by (0, 0, 1)."""
-    proj = _disk_projector(1.0)
-
-    def member(x, tol=DEFAULT_TOL):
-        x = np.asarray(x, dtype=float)
-        return bool(abs(x[2] - 1.0) <= 1e-9 and np.linalg.norm(x[:2]) <= 1.0 + 1e-9)
-
-    return FaceHandle(
-        parent=C,
-        span_basis=np.eye(3)[:2],
-        membership=member,
-        exact_projector=proj,
-        descriptor={
-            "kind": "disk_top",
-            "witness": np.array([0.0, 0.0, 1.0]),
-            "support_value": 1.0,
-            "sampler": _disk_sampler(1.0),
-        },
-        affine_basepoint=np.array([0.0, 0.0, 1.0]),
-    )
+    return _disk_face(C, 1.0, "disk_top")
 
 
 def face_disk_bottom(C: GallerySet) -> FaceHandle:
     """The bottom unit disk, exposed by (0, 0, -1)."""
-    proj = _disk_projector(-1.0)
-
-    def member(x, tol=DEFAULT_TOL):
-        x = np.asarray(x, dtype=float)
-        return bool(abs(x[2] + 1.0) <= 1e-9 and np.linalg.norm(x[:2]) <= 1.0 + 1e-9)
-
-    return FaceHandle(
-        parent=C,
-        span_basis=np.eye(3)[:2],
-        membership=member,
-        exact_projector=proj,
-        descriptor={
-            "kind": "disk_bottom",
-            "witness": np.array([0.0, 0.0, -1.0]),
-            "support_value": 1.0,
-            "sampler": _disk_sampler(-1.0),
-        },
-        affine_basepoint=np.array([0.0, 0.0, -1.0]),
-    )
+    return _disk_face(C, -1.0, "disk_bottom")
 
 
 def _singleton_face(C: GallerySet, point: np.ndarray, witness: np.ndarray,
@@ -672,6 +655,14 @@ def face_point_arc(C: GallerySet, t0: float) -> FaceHandle:
 # ---------------------------------------------------------------------------
 
 
+def _gauge_membership(x: np.ndarray, worst: float, tol: Tolerance) -> MembershipResult:
+    """Exact verdict from the residual worst of a closed-form description,
+    <= 0 exactly on the set: OUTSIDE at distance worst above the tolerance at
+    scale max(1, ||x||), INSIDE below minus it, and BOUNDARY at 0.0 between."""
+    status = _classify(worst, tol.margin(max(1.0, float(np.linalg.norm(x)))))
+    return MembershipResult(status, True, worst if status is Membership.OUTSIDE else 0.0)
+
+
 def _project_bicone_dual(s: np.ndarray) -> np.ndarray:
     """Exact projection onto {(p, q, r, w) : ||(p, q)|| + |r| <= w}.
 
@@ -734,29 +725,18 @@ class CylinderObjects:
 
 @lru_cache(maxsize=1)
 def _cylinder_hull() -> GallerySet:
-    # rows (0,0,-1,1) and (0,0,1,1) encode -t <= c <= t; the permuted product
-    # SOC(3) x R encodes sqrt(a^2 + b^2) <= t with c free
-    halfspaces = PolyhedralCone(
-        inequalities=np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
-    )
-    perm = np.zeros((4, 4))
-    perm[0, 0] = perm[1, 1] = perm[3, 2] = perm[2, 3] = 1.0
-    soc_part = LinearImageCone(
-        matrix=perm,
-        inner=ProductCone(SecondOrderCone(3), LinearSubspace(np.eye(1), ambient=1)),
-    )
-    inner = IntersectionCone((halfspaces, soc_part))
-
+    # The dual is the epigraph of the norm ||(x, y)|| + |z|, projected in
+    # closed form by _project_bicone_dual. Moreau's decomposition
+    # x = P_K(x) - P_K*(-x) gives the hull's projection P_K(x) = x + P_K*(-x).
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         x = np.asarray(x, dtype=float)
-        eps = tol.margin(max(1.0, float(np.linalg.norm(x))))
-        worst = max(
-            float(np.linalg.norm(x[:2])) - x[3], abs(x[2]) - x[3]
-        )
-        if worst > eps:
-            return MembershipResult(Membership.OUTSIDE, True, max(worst, 0.0))
-        status = Membership.INSIDE if worst < -eps else Membership.BOUNDARY
-        return MembershipResult(status, True, 0.0)
+        worst = max(float(np.linalg.norm(x[:2])) - x[3], abs(x[2]) - x[3])
+        return _gauge_membership(x, worst, tol)
+
+    def project_fn(x) -> ProjectionResult:
+        x = np.asarray(x, dtype=float)
+        p = x + _project_bicone_dual(-x)
+        return ProjectionResult(p, float(np.linalg.norm(x - p)), "closed_form")
 
     def sample_fn(n, rng):
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -774,8 +754,8 @@ def _cylinder_hull() -> GallerySet:
         name="cylinder_K_tilde",
         ambient_dim=4,
         is_cone=True,
-        inner=inner,
         member_fn=member_fn,
+        project_fn=project_fn,
         sample_fn=sample_fn,
         dual_factory=_cylinder_dual,
         extra={
@@ -806,12 +786,7 @@ def _cylinder_dual_rays(n: int) -> np.ndarray:
 def _cylinder_dual() -> GallerySet:
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         x = np.asarray(x, dtype=float)
-        eps = tol.margin(max(1.0, float(np.linalg.norm(x))))
-        worst = float(np.linalg.norm(x[:2])) + abs(x[2]) - x[3]
-        if worst > eps:
-            return MembershipResult(Membership.OUTSIDE, True, max(worst, 0.0))
-        status = Membership.INSIDE if worst < -eps else Membership.BOUNDARY
-        return MembershipResult(status, True, 0.0)
+        return _gauge_membership(x, float(np.linalg.norm(x[:2])) + abs(x[2]) - x[3], tol)
 
     def project_fn(x) -> ProjectionResult:
         p = _project_bicone_dual(x)
@@ -837,12 +812,7 @@ def _cylinder_dual() -> GallerySet:
 def _dual_sum_set() -> GallerySet:
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         x = np.asarray(x, dtype=float)
-        eps = tol.margin(max(1.0, float(np.linalg.norm(x))))
-        worst = float(np.linalg.norm(x[:2])) - (x[2] + x[3])
-        if worst > eps:
-            return MembershipResult(Membership.OUTSIDE, True, max(worst, 0.0))
-        status = Membership.INSIDE if worst < -eps else Membership.BOUNDARY
-        return MembershipResult(status, True, 0.0)
+        return _gauge_membership(x, float(np.linalg.norm(x[:2])) - (x[2] + x[3]), tol)
 
     def project_fn(x) -> ProjectionResult:
         p = _project_dual_sum_set(x)
@@ -877,7 +847,7 @@ def _lifted_disk_projector(x: np.ndarray) -> np.ndarray:
     return np.array([q[0], q[1], c, c])
 
 
-def _dual_sum_closure_cylinder(scale_hint: float = 1.0):
+def _dual_sum_closure_cylinder():
     """Dual-sum rule for the lifted disk face of the cylinder hull: member
     iff sqrt(x^2 + y^2) <= z + w, and the shift mu = (z - w + rho)/2 lands
     the dual part exactly on the dual cone's boundary."""
@@ -1154,7 +1124,7 @@ def dual_tips() -> np.ndarray:
     return np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0]]) / np.sqrt(2.0)
 
 
-def dual_ray_samples(n: int, t_min: float = 1e-2) -> np.ndarray:
+def dual_ray_samples(n: int) -> np.ndarray:
     """Unit samples of extreme rays of the body hull's dual cone.
 
     Three families cover them: lifted normals of top-circle points
@@ -1164,13 +1134,13 @@ def dual_ray_samples(n: int, t_min: float = 1e-2) -> np.ndarray:
     the parameter approaches the seam, which is exactly the behavior the
     shrinking-neighborhood probes look for. A geometric parameter spacing
     near the seam makes that convergence visible at every scale down to
-    t_min.
+    t = 0.01.
     """
     per = max(n // 3, 4)
     half = per // 2
     ts_uniform = np.linspace(0.3, 2.0 * np.pi - 0.3, per - half)
     ts_geom = np.concatenate(
-        [np.geomspace(t_min, 0.3, half // 2), 2.0 * np.pi - np.geomspace(t_min, 0.3, half - half // 2)]
+        [np.geomspace(1e-2, 0.3, half // 2), 2.0 * np.pi - np.geomspace(1e-2, 0.3, half - half // 2)]
     )
     ts = np.concatenate([ts_uniform, ts_geom])
     rows = []
@@ -1248,13 +1218,8 @@ def sturm_slice() -> GallerySet:
         x = np.asarray(x, dtype=float)
         a, sb, c = x
         b = sb / np.sqrt(2.0)
-        eps = tol.margin(max(1.0, float(np.linalg.norm(x))))
         eig_min = float(np.linalg.eigvalsh(np.array([[a, b], [b, c]]))[0])
-        worst = max(-eig_min, 1.0 - c)
-        if worst > eps:
-            return MembershipResult(Membership.OUTSIDE, True, max(worst, 0.0))
-        status = Membership.INSIDE if worst < -eps else Membership.BOUNDARY
-        return MembershipResult(status, True, 0.0)
+        return _gauge_membership(x, max(-eig_min, 1.0 - c), tol)
 
     def project_fn(x) -> ProjectionResult:
         def slab(v):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cone_algebra import ConeSpec, SliceSpec, UnsupportedVariantError, get_slice
 from .facial_structure import FaceHandle, face_projection
-from .linalg_core import DEFAULT_TOL, Tolerance, complement_basis, row_norms, unit_sphere_grid
+from .linalg_core import complement_basis, row_norms, unit_sphere_grid
 from .projection_engine import project, project_conic_generators, project_hull
 
 __all__ = [
@@ -318,7 +318,6 @@ def build_constants(
     F: FaceHandle,
     kappa_slice: float,
     *,
-    density: int = 2048,
     n_dirs: int = 4096,
 ) -> HullConstants:
     """Assemble the full constants record for a conic hull and one face.
@@ -330,7 +329,7 @@ def build_constants(
     slice_spec = get_slice(K)
     if slice_spec is None:
         raise UnsupportedVariantError("the cone spec carries no slice data")
-    r = slice_radius(slice_spec, density)
+    r = slice_radius(slice_spec)
     est = antipodality_alpha(F, n_dirs)
     alpha = min(est.alpha, 0.0)
     beta = beta_from_alpha(alpha)
@@ -358,7 +357,6 @@ def verify_slice_bound(
     *,
     density: int = 512,
     seed: int = 0,
-    tol: float = 1e-8,
     spread: float = 3.0,
 ) -> SliceBoundReport:
     """Sample the slice bound dist(x,C) <= ||e|| r dist(x,K) on the slice
@@ -368,8 +366,8 @@ def verify_slice_bound(
     kept when their cone projection is nonzero (the bound concerns exactly
     those x outside -K*).  Both distances and the radius r are evaluated
     against the same sample cloud, so the inequality is exact up to solver
-    gaps for the sampled cone; violations beyond ``tol`` are counted as
-    findings rather than raised.
+    gaps for the sampled cone; violations beyond the report's ``tol``
+    (1e-8) are counted as findings rather than raised.
     """
     slice_spec = get_slice(K)
     if slice_spec is None:
@@ -391,6 +389,7 @@ def verify_slice_bound(
     radii = rng.uniform(0.0, spread * r, size=(n_samples, 1))
     points = center + (coords / np.maximum(norms, 1e-300) * radii) @ tangent
 
+    tol = 1e-8
     kept = 0
     rejected = 0
     violations = 0
@@ -425,17 +424,13 @@ def verify_monotone_shift(
     F: FaceHandle,
     x,
     t_grid,
-    *,
-    n_dirs: int = 4096,
-    beta: float | None = None,
-    tol: float = 1e-7,
 ) -> MonotoneShiftReport:
     """Check the two shift inequalities along a grid of nonnegative shifts.
 
-    ``y`` is the argmax of <x, u> over the sampled unit sphere of F.  The
-    checks are dist(x+ty, K) <= dist(x, K) + tol and
-    dist(x, F) <= beta * dist(x+ty, F) + tol, with beta computed from the
-    face's antipodality constant unless supplied.
+    ``y`` is the argmax of <x, u> over the sampled unit sphere of F (4096
+    grid directions).  The checks are dist(x+ty, K) <= dist(x, K) + tol and
+    dist(x, F) <= beta * dist(x+ty, F) + tol, with tol = 1e-7 and beta
+    computed from the face's antipodality constant.
     """
     x = np.asarray(x, dtype=float)
     if F.face_dim <= 1:
@@ -450,10 +445,10 @@ def verify_monotone_shift(
     if any(t < 0 for t in t_grid):
         raise ValueError("shifts must be nonnegative")
 
-    dirs = face_sphere_directions(F, n_dirs)
+    dirs = face_sphere_directions(F)
     y = dirs[int(np.argmax(dirs @ x))]
-    if beta is None:
-        beta = beta_from_alpha(antipodality_alpha(F, n_dirs).alpha)
+    beta = beta_from_alpha(antipodality_alpha(F).alpha)
+    tol = 1e-7
 
     d_cone_0 = float(project(K, x).distance)
     d_face_0 = float(np.linalg.norm(x - face_projection(F, x)))

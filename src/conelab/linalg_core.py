@@ -60,13 +60,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def orthonormalize(vectors, cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def orthonormalize(vectors) -> np.ndarray:
     """Orthonormalize a sequence of vectors.
 
     Parameters
     ----------
     vectors : sequence of 1-d arrays, or a 2-d array with vectors as rows.
-    cutoff : relative singular-value cutoff for rank decisions.
+      Rank is decided at RANK_CUTOFF relative to the largest singular value.
 
     Returns
     -------
@@ -82,7 +82,7 @@ def orthonormalize(vectors, cutoff: float = RANK_CUTOFF) -> np.ndarray:
     _, s, vt = np.linalg.svd(arr, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, arr.shape[1]))
-    rank = int(np.sum(s > cutoff * s[0]))
+    rank = int(np.sum(s > RANK_CUTOFF * s[0]))
     return vt[:rank]
 
 
@@ -169,27 +169,16 @@ class AffineSubspace:
 
 @dataclass(frozen=True, eq=False)
 class BoundedRegion:
-    """Euclidean ball (center, radius) or an axis-aligned box.
-
-    Exactly one of radius/box is set. Ball sampling scales linearly with the
-    radius for a fixed seed, which keeps cone-level probes scale-covariant.
-    """
+    """Euclidean ball with the given center and radius; a missing or
+    nonpositive radius raises ValueError."""
 
     center: np.ndarray
     radius: float | None = None
-    box: np.ndarray | None = None  # (d, 2) rows [lo, hi]
 
     def __post_init__(self):
         object.__setattr__(self, "center", _freeze(self.center))
-        if (self.radius is None) == (self.box is None):
-            raise ValueError("exactly one of radius or box must be given")
-        if self.radius is not None and not self.radius > 0:
+        if self.radius is None or not self.radius > 0:
             raise ValueError("radius must be positive")
-        if self.box is not None:
-            b = _freeze(self.box)
-            object.__setattr__(self, "box", b)
-            if b.shape != (self.center.shape[0], 2) or np.any(b[:, 1] < b[:, 0]):
-                raise ValueError("box intervals must be nonempty, one [lo, hi] row per coordinate")
 
     @property
     def dim(self) -> int:
@@ -197,22 +186,7 @@ class BoundedRegion:
 
     def contains(self, x, slack: float = 0.0) -> bool:
         x = np.asarray(x, dtype=float)
-        if self.radius is not None:
-            return float(np.linalg.norm(x - self.center)) <= self.radius + slack
-        return bool(np.all(x >= self.box[:, 0] - slack) and np.all(x <= self.box[:, 1] + slack))
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.radius is not None:
-            return self.center + self.radius * _unit_ball(n, self.dim, rng)
-        u = rng.random((n, self.dim))
-        return self.box[:, 0] + u * (self.box[:, 1] - self.box[:, 0])
-
-
-def _unit_ball(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, dim))
-    g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
-    r = rng.random(n) ** (1.0 / dim)
-    return g * r[:, None]
+        return float(np.linalg.norm(x - self.center)) <= self.radius + slack
 
 
 # ---------------------------------------------------------------------------

@@ -264,15 +264,14 @@ def _dual_slice_element(
     G: FaceHandle,
     pair_vec: np.ndarray,
     *,
-    n_dual_samples: int,
     seed: int,
     label: str,
 ) -> np.ndarray:
-    """Minimum-norm element of G with <pair_vec, .> = 1, found by sampling
-    the conjugate face and polishing with alternating projections. A polish
-    that does not converge raises NonConvergenceError naming label."""
+    """Minimum-norm element of G with <pair_vec, .> = 1, found among 256
+    samples of the conjugate face and polished with alternating projections.
+    A polish that does not converge raises NonConvergenceError naming label."""
     rng = np.random.default_rng(seed)
-    S = face_samples(G, n_dual_samples, rng)
+    S = face_samples(G, 256, rng)
     norms = np.maximum(np.linalg.norm(S, axis=1), 1e-30)
     pairs = S @ pair_vec
     j = int(np.argmax(pairs / norms))
@@ -316,9 +315,7 @@ def build_rank_two_projection(
     F: FaceHandle,
     *,
     n_samples: int = 10_000,
-    n_dual_samples: int = 256,
     seed: int = 0,
-    pairing_tol: float = 1e-10,
 ) -> ProjectionMap:
     """Rank-two retraction P = x z2^T + y z1^T onto a 2-dim face.
 
@@ -326,8 +323,8 @@ def build_rank_two_projection(
     descriptor when stored, otherwise recovered as the angular extremes of
     the face's unit-sphere directions).  z1 lives in the conjugate face of
     the x-ray, so <x, z1> = 0 automatically, and is scaled to <y, z1> = 1;
-    z2 symmetrically.  The four cross pairings are verified to pairing_tol
-    and the assembled map is certified on cone samples.
+    z2 symmetrically.  The four cross pairings are verified to 1e-10 and the
+    assembled map is certified on cone samples.
     """
     if F.face_dim != 2:
         raise ValueError(
@@ -376,12 +373,8 @@ def build_rank_two_projection(
 
     Gx = conjugate_face(K, _ray_face(K, F, x, 0))
     Gy = conjugate_face(K, _ray_face(K, F, y, 1))
-    z1 = _dual_slice_element(
-        Gx, y, n_dual_samples=n_dual_samples, seed=seed, label="z1"
-    )
-    z2 = _dual_slice_element(
-        Gy, x, n_dual_samples=n_dual_samples, seed=seed + 1, label="z2"
-    )
+    z1 = _dual_slice_element(Gx, y, seed=seed, label="z1")
+    z2 = _dual_slice_element(Gy, x, seed=seed + 1, label="z2")
 
     pairing_residual = max(
         abs(float(x @ z1)),
@@ -389,7 +382,7 @@ def build_rank_two_projection(
         abs(float(y @ z1) - 1.0),
         abs(float(y @ z2)),
     )
-    if pairing_residual > pairing_tol:
+    if pairing_residual > 1e-10:
         raise NotSeparableError(
             "not separable: cross pairings of the dual slice elements miss "
             f"the required values by {pairing_residual:.3e} "
@@ -520,10 +513,6 @@ class SungTamResult:
         }
 
 
-def _ambient_dim(K: ConeSpec) -> int:
-    return K.ambient_dim if isinstance(K, GallerySet) else K.dim
-
-
 def _conjugate_ray_direction(K: ConeSpec, F: FaceHandle) -> np.ndarray:
     stored = F.descriptor.get("conjugate_ray")
     if stored is not None:
@@ -554,7 +543,6 @@ def sung_tam_probe(
     shrink_schedule=None,
     *,
     seed: int = 0,
-    distinct_tol: float = 1e-6,
 ) -> SungTamResult:
     """Search for extreme rays of K* accumulating at the conjugate ray of F.
 
@@ -562,11 +550,11 @@ def sung_tam_probe(
     conjugate face is a ray, generated by unit w.  Sampled unit extreme
     directions of the dual are counted inside each neighborhood radius of
     the shrinking schedule (default 0.5 * 2^-k for k = 0..12), ignoring
-    directions within distinct_tol of w itself.  Hits at every level mean
+    directions within 1e-6 of w itself.  Hits at every level mean
     extreme rays distinct from w approach w, which rules out projectional
     exposedness of F; an empty deepest level is evidence in its favor.
     """
-    ambient = _ambient_dim(K)
+    ambient = K.dim
     span = cone_span_dim(K)
     if span != ambient:
         raise ValueError(
@@ -592,7 +580,7 @@ def sung_tam_probe(
     w = _conjugate_ray_direction(K, F)
     rays = extreme_ray_samples(K, n_rays, seed=seed)
     dists = np.linalg.norm(rays - w, axis=1)
-    distinct = dists > distinct_tol
+    distinct = dists > 1e-6
 
     levels = []
     hits = []
@@ -665,30 +653,22 @@ def codim1_amenable_implies_pexp_check(
     evidence: ErrorBoundEstimate | None = None,
     region: BoundedRegion | None = None,
     n_samples: int = 64,
-    seed: int = 0,
-    n_rays: int = 512,
-    shrink_schedule=None,
     refine_from=None,
 ) -> Codim1ConsistencyReport:
     """Cross-check amenability evidence against the converging-ray probe.
+    Both run at seed 0, the probe on its default rays and schedule.
 
     When no evidence is supplied, an error-bound estimate is computed on a
     unit ball centered at the mean of a few face samples.  The only flagged
     combination is bounded evidence with converging extreme rays found; see
     Codim1ConsistencyReport.
     """
-    probe = sung_tam_probe(
-        K, F, n_rays=n_rays, shrink_schedule=shrink_schedule, seed=seed
-    )
+    probe = sung_tam_probe(K, F)
     if evidence is None:
         if region is None:
-            rng = np.random.default_rng(seed)
-            center = face_samples(F, 8, rng).mean(axis=0)
+            center = face_samples(F, 8, np.random.default_rng(0)).mean(axis=0)
             region = BoundedRegion(center=center, radius=1.0)
-        evidence = estimate_kappa(
-            K, F, region, n_samples=n_samples, sampler_seed=seed,
-            refine_from=refine_from,
-        )
+        evidence = estimate_kappa(K, F, region, n_samples=n_samples, refine_from=refine_from)
 
     verdict = evidence.verdict
     contradiction = verdict == "bounded" and probe.found

@@ -75,9 +75,10 @@ class ProjectionResult:
     """Projection answer: the nearest point found, its distance from the input,
     which method family produced it, the iteration count, and a nonnegative
     optimality certificate (zero for closed forms) in the units of the kernel
-    that made it. For a point whose x.x overflows, an atom cone projects
-    x / 2^e with 2^e just above max |x_i| (see _project_huge), and the
-    certificate is that of x / 2^e, whose largest entry is in [0.5, 1).
+    that made it. For a point whose x.x overflows, a cone built from atom
+    cones, or a halfspace, projects x / 2^e with 2^e just above max |x_i|
+    (see _project_huge), and the certificate is that of x / 2^e, whose
+    largest entry is in [0.5, 1).
 
     The input itself is returned for certified members: the point is then a
     copy of the input and the distance is exactly 0.0. The input is finite."""
@@ -322,14 +323,12 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     if huge and not np.isfinite(x).all():
         raise ValueError("point has a non-finite entry")
 
-    if huge and isinstance(K, _ATOM_CONES) and getattr(K, "is_cone", True):
+    if huge and (isinstance(K, Halfspace) or _scales(K)):
         return _project_huge(K, x, tol)
 
     if isinstance(K, GallerySet):
         if K.project_fn is not None:
             return K.project_fn(x)
-        if K.inner is not None:
-            return project(K.inner, x, tol)
         raise UnsupportedVariantError(f"gallery object {K.name!r} has no projector")
 
     if isinstance(K, NonnegativeOrthant):
@@ -338,7 +337,7 @@ def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     if isinstance(K, Halfspace):
         v = float(K.normal @ x) - K.offset
         p = x - max(v, 0.0) * K.normal
-        return _result(x, p, "closed_form", huge=huge)
+        return _result(x, p, "closed_form")
 
     if isinstance(K, LinearSubspace):
         p = (x @ K.basis.T) @ K.basis if K.subspace_dim else np.zeros_like(x)
@@ -391,13 +390,26 @@ _ATOM_CONES = (NonnegativeOrthant, Halfspace, LinearSubspace, SecondOrderCone, P
                PolyhedralCone, ConicHull)
 
 
+def _scales(K: ConeSpec) -> bool:
+    """Whether K is an atom cone, or a linear image or intersection of such
+    cones: then its projection commutes with scaling by a power of two."""
+    if isinstance(K, LinearImageCone):
+        return _scales(K.inner)
+    if isinstance(K, IntersectionCone):
+        return all(_scales(part) for part in K.parts)
+    return isinstance(K, _ATOM_CONES) and getattr(K, "is_cone", True)
+
+
 def _project_huge(K: ConeSpec, x: np.ndarray, tol: Tolerance) -> ProjectionResult:
-    """Projection of a finite x whose x.x overflows onto an atom cone: the
+    """Projection of a finite x whose x.x overflows onto a cone that _scales,
+    or onto a halfspace, whose offset is scaled with the point: the
     projection of x / 2^e, 2^e just above max |x_i|, scaled back by 2^e, so
     that no kernel squares a number near the float max. Its certificate gap
     is that of x / 2^e. Raises ValueError when the projection is past the
     float range; the distance may be, and is then inf."""
     e = math.frexp(float(np.abs(x).max()))[1]
+    if isinstance(K, Halfspace) and not K.is_cone:
+        K = Halfspace(K.normal, math.ldexp(K.offset, -e))
     r = project(K, np.ldexp(x, -e), tol)
     with np.errstate(over="ignore"):
         p = np.ldexp(r.point, e)
@@ -463,10 +475,10 @@ class MoreauSplit:
     residual: float
 
 
-def moreau_decompose(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> MoreauSplit:
+def moreau_decompose(K: ConeSpec, x) -> MoreauSplit:
     """Split x into its projection onto K and onto the polar cone -K*."""
     x = np.asarray(x, dtype=float)
-    p = project(K, x, tol).point
+    p = project(K, x).point
     q = x - p
     return MoreauSplit(x, p, q, abs(float(p @ q)))
 
@@ -481,7 +493,6 @@ def dykstra_projectors(
     x: np.ndarray,
     max_iter: int = 50000,
     tol_change: float = 1e-10,
-    method: str = "dykstra",
 ) -> ProjectionResult:
     """Dykstra's alternating projection scheme over arbitrary closed convex
     sets given as projector callables. Converges to the intersection's
@@ -505,21 +516,14 @@ def dykstra_projectors(
             corrections[i] = newcorr
             y = p
         if change < tol_change:
-            return ProjectionResult(y, vec_norm(x - y), method, sweep, change)
+            return ProjectionResult(y, vec_norm(x - y), "dykstra", sweep, change)
     raise NonConvergenceError("Dykstra did not converge", max_iter, change)
 
 
-def dykstra_intersection(
-    parts,
-    x,
-    max_iter: int = 50000,
-    tol_change: float = 1e-10,
-    tol: Tolerance = DEFAULT_TOL,
-) -> ProjectionResult:
+def dykstra_intersection(parts, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
     """Projection onto the intersection of cone specs via Dykstra."""
     projs = [(lambda v, p=p: project(p, v, tol).point) for p in parts]
-    x = np.asarray(x, dtype=float)
-    return dykstra_projectors(projs, x, max_iter=max_iter, tol_change=tol_change)
+    return dykstra_projectors(projs, np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------

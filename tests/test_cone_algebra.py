@@ -28,6 +28,7 @@ from conelab.cone_algebra import (
     support_value,
 )
 from conelab.linalg_core import sym_to_vec, vec_to_sym
+from conelab.projection_engine import project
 
 
 def _triangle_hull():
@@ -146,12 +147,23 @@ class TestMembership:
         assert r.status is Membership.INSIDE and not r.exact
         assert membership(K, [0.0, 0.0, -1.0]).status is Membership.OUTSIDE
 
-    def test_gallery_delegates(self):
-        K = GallerySet(name="wrapped", ambient_dim=2, inner=NonnegativeOrthant(2))
-        assert membership(K, [1.0, 1.0]).status is Membership.INSIDE
+    def test_bare_gallery_set_raises(self):
+        # without closures every operation of a gallery set refuses; the
+        # slice operation is rescale_to_slice, since get_slice answers None
         bare = GallerySet(name="bare", ambient_dim=2)
-        with pytest.raises(UnsupportedVariantError):
-            membership(bare, [1.0, 1.0])
+        x = np.array([1.0, 1.0])
+        operations = (
+            lambda: membership(bare, x),
+            lambda: project(bare, x),
+            lambda: dual_cone(bare),
+            lambda: sample_points(bare, 3, np.random.default_rng(0)),
+            lambda: cone_span_dim(bare),
+            lambda: rescale_to_slice(bare, x),
+        )
+        for op in operations:
+            with pytest.raises(UnsupportedVariantError):
+                op()
+        assert get_slice(bare) is None
 
 
 class TestDualCone:

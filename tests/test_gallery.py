@@ -3,6 +3,18 @@ import numpy as np
 import pytest
 
 from conelab import gallery as G
+from conelab.cone_algebra import (
+    ConicHull,
+    DualUnavailableError,
+    IntersectionCone,
+    LinearImageCone,
+    LinearSubspace,
+    PolyhedralCone,
+    ProductCone,
+    SecondOrderCone,
+    dual_cone,
+    membership,
+)
 from conelab.facial_structure import is_exposed
 from conelab.projection_engine import MEMBER_SNAP, project
 
@@ -313,6 +325,22 @@ def _assert_bicone_moreau(s, p):
     assert abs(p @ q) <= 1e-13 * scale * scale
 
 
+def _cylinder_hull_intersection():
+    """The cylinder hull as an intersection spec, projected by Dykstra: rows
+    (0,0,-1,1) and (0,0,1,1) encode -t <= c <= t, and the permuted product
+    SOC(3) x R encodes sqrt(a^2 + b^2) <= t with c free."""
+    halfspaces = PolyhedralCone(
+        inequalities=np.array([[0.0, 0.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0]])
+    )
+    perm = np.zeros((4, 4))
+    perm[0, 0] = perm[1, 1] = perm[3, 2] = perm[2, 3] = 1.0
+    soc_part = LinearImageCone(
+        matrix=perm,
+        inner=ProductCone(SecondOrderCone(3), LinearSubspace(np.eye(1), ambient=1)),
+    )
+    return IntersectionCone((halfspaces, soc_part))
+
+
 @pytest.fixture(scope="module")
 def C():
     return G.body(2048)
@@ -377,6 +405,18 @@ class TestConicHull:
         r = is_exposed(K, G.lifted_disk_face(K))
         assert r.status == "exposed"
 
+    def test_membership_is_that_of_the_conic_hull(self):
+        K = G.conic_hull_of_body(256)
+        hull = ConicHull(K.extra["slice"], density=256)
+        rng = np.random.default_rng(16)
+        points = np.vstack([rng.standard_normal((10, 4)), K.sample_fn(5, rng)])
+        for x in points:
+            assert membership(K, x) == membership(hull, x)
+
+    def test_no_dual_rule(self):
+        with pytest.raises(DualUnavailableError, match="'nice_not_amenable_K' has no dual rule"):
+            dual_cone(G.conic_hull_of_body(256))
+
     def test_dual_rays_pair_nonnegatively(self):
         rays = G.dual_ray_samples(48)
         pts, _ = G.curve_cloud(2048)
@@ -400,6 +440,35 @@ class TestCylinderObjects:
         assert cyl.dual.member_fn(np.array([0.3, 0.0, 0.5, 1.0])).in_set
         assert not cyl.dual.member_fn(np.array([0.8, 0.0, 0.5, 1.0])).in_set
 
+    @pytest.mark.parametrize("name", ["hull", "dual", "dual_sum_set", "sturm"])
+    def test_gauge_memberships(self, cyl, name):
+        # status and distance from the set's residual: OUTSIDE at the
+        # residual above eps, INSIDE below -eps, BOUNDARY at 0.0 between
+        residuals = {
+            "hull": lambda x: max(np.hypot(x[0], x[1]) - x[3], abs(x[2]) - x[3]),
+            "dual": lambda x: np.hypot(x[0], x[1]) + abs(x[2]) - x[3],
+            "dual_sum_set": lambda x: np.hypot(x[0], x[1]) - (x[2] + x[3]),
+            "sturm": lambda x: max(-np.linalg.eigvalsh(
+                [[x[0], x[1] / np.sqrt(2.0)], [x[1] / np.sqrt(2.0), x[2]]])[0], 1.0 - x[2]),
+        }
+        member_fn = G.sturm_slice().member_fn if name == "sturm" else getattr(cyl, name).member_fn
+        dim = 3 if name == "sturm" else 4
+        rng = np.random.default_rng(17)
+        points = list(rng.standard_normal((200, dim)) * 2.0)
+        edge = np.zeros(dim)
+        edge[-1] = 1.0  # residual 0 in the three cones, on the slab's edge
+        points.append(edge)
+        for x in points:
+            res = member_fn(x)
+            worst = residuals[name](x)
+            eps = 1e-10 + 1e-8 * max(1.0, np.linalg.norm(x))
+            assert res.exact
+            if worst > eps:
+                assert res.status.value == "outside" and res.distance == pytest.approx(worst)
+            else:
+                assert res.status.value == ("inside" if worst < -eps else "boundary")
+                assert res.distance == 0.0
+
     def test_hull_membership_agrees_with_projection(self, cyl):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -407,6 +476,34 @@ class TestCylinderObjects:
             m = cyl.hull.member_fn(x)
             d = project(cyl.hull, x).distance
             assert m.in_set == (d < 1e-7)
+
+    def test_hull_projection_matches_the_intersection_spec(self, cyl):
+        ref = _cylinder_hull_intersection()
+        rng = np.random.default_rng(13)
+        for x in rng.standard_normal((200, 4)) * 2.0:
+            r = project(cyl.hull, x)
+            assert r.method == "closed_form" and r.iterations == 0
+            assert r.certificate_gap == 0.0
+            tol = 1e-9 * max(1.0, np.linalg.norm(x))
+            assert np.abs(r.point - project(ref, x).point).max() <= tol
+
+    def test_hull_projection_is_a_moreau_split(self, cyl):
+        # P(x) in the hull, x - P(x) in the polar cone -K*, and the two
+        # orthogonal
+        rng = np.random.default_rng(14)
+        for x in rng.standard_normal((500, 4)) * 10.0 ** rng.uniform(-3, 3, size=(500, 1)):
+            p = project(cyl.hull, x).point
+            q = x - p
+            scale = np.linalg.norm(x)
+            assert max(np.hypot(p[0], p[1]), abs(p[2])) <= p[3] + 1e-13 * scale
+            assert np.hypot(q[0], q[1]) + abs(q[2]) <= -q[3] + 1e-13 * scale
+            assert abs(p @ q) <= 1e-13 * scale * scale
+
+    def test_hull_members_come_back_unchanged(self, cyl):
+        X = cyl.hull.sample_fn(200, np.random.default_rng(15))
+        for x in X:
+            r = project(cyl.hull, x)
+            assert np.array_equal(r.point, x) and r.distance == 0.0
 
     def test_bicone_dual_projector_frozen(self, cyl):
         p = cyl.dual.project_fn(np.array([3.0, 4.0, 2.0, 1.0])).point

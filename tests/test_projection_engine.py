@@ -500,8 +500,12 @@ class TestNonFinitePoints:
         [(LinearSubspace(np.array([[1.0, 1.0, 0.0]])), [0.0, 0.0, 0.0], math.inf),
          (PolyhedralCone(generators=np.eye(3)), [1.7e308, 0.0, 1.7e308], 1.7e308),
          (Halfspace(np.array([1.0, -1.0, 0.0])), [0.0, 0.0, 1.7e308], math.inf),
-         (PolyhedralCone(inequalities=np.eye(3)), [1.7e308, 0.0, 1.7e308], 1.7e308)],
-        ids=["subspace", "generators", "halfspace", "inequalities"],
+         (PolyhedralCone(inequalities=np.eye(3)), [1.7e308, 0.0, 1.7e308], 1.7e308),
+         (LinearImageCone(np.eye(3)[:, :2], NonnegativeOrthant(2)), [1.7e308, 0.0, 0.0], math.inf),
+         (IntersectionCone((NonnegativeOrthant(3), SecondOrderCone(3))),
+          [1.7e308, 0.0, 1.7e308], 1.7e308)],
+        ids=["subspace", "generators", "halfspace", "inequalities", "linear_image",
+             "intersection"],
     )
     def test_near_max_point_is_the_scaled_projection(self, K, expected, distance):
         # x.x overflows: the cone projects x / 2^1024 and scales back, so no
@@ -515,6 +519,17 @@ class TestNonFinitePoints:
         np.testing.assert_allclose(r.point, expected, rtol=1e-15, atol=1e-15 * 1.7e308)
         assert r.distance == pytest.approx(distance, rel=1e-15)
         assert r.certificate_gap == small.certificate_gap
+
+    def test_near_max_affine_halfspace_scales_its_offset(self):
+        # not a cone: the offset is scaled with the point, so normal . x is
+        # never formed at full size and nothing overflows
+        K = Halfspace(np.array([1.0, -1.0, 0.0]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project(K, self.NEAR_MAX_3)
+        assert np.isfinite(r.point).all()
+        np.testing.assert_allclose(r.point, [0.0, 0.0, 1.7e308], rtol=1e-15, atol=1e-15 * 1.7e308)
+        assert r.distance == math.inf
 
     def test_soc_projection_past_the_float_max_raises(self):
         # the answer's last coordinate, (||y|| + t) / 2, is about 2.05e308
