@@ -9,6 +9,14 @@ there are many), and hulls of point clouds through Wolfe's minimum-norm-point
 method. Both finite kernels either return an answer whose
 optimality certificate is within tolerance or raise NonConvergenceError.
 
+Wolfe's method alternates major cycles, which add the vertex with the largest
+Frank-Wolfe gap to the support, and minor cycles, which step back toward the
+support's affine minimizer and drop the vertices whose weights reach zero.
+The affine minimizer comes from a QR factorization of the support's
+difference vectors that each cycle updates instead of recomputing: one
+Gram-Schmidt step with reorthogonalization per added vertex, a Givens
+downdate per dropped one, and a triangular back-substitution for the weights.
+
 Only the generator kernel, `project_conic_generators` (behind the projections
 onto generated PolyhedralCone and ConicHull specs), needs scipy. Its `nnls`
 imports `scipy.optimize` on first call, not at module import: that import costs
@@ -530,41 +538,203 @@ def dykstra_intersection(parts, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionRe
 # Convex-hull projection (Wolfe's minimum-norm-point method)
 # ---------------------------------------------------------------------------
 
-
-def _fw_gap(points: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Frank-Wolfe duality gap of min ||x - conv(points)|| at the feasible y,
-    2 max_j <p_j - y, x - y>, plus the most violating vertex index. Only the
-    winning score is doubled: a factor of 2 is exact, so this is bitwise the
-    doubled scores' maximum."""
-    scores = (points - y) @ (x - y)
-    j = int(np.argmax(scores))
-    return max(0.0, 2.0 * float(scores[j])), j
+# A difference vector whose part off the span of the earlier ones is at most
+# AFFINE_DEPENDENT times its norm is rounding noise of a dependent vector.
+AFFINE_DEPENDENT = 64.0 * np.finfo(float).eps
+# Largest entry of x or points from which project_hull scales both by a power
+# of two: below it no product of two differences of entries can overflow.
+HULL_HUGE = 2.0**500
 
 
-def _affine_weights(Ps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Weights mu with sum(mu) = 1 of the point of aff(rows of Ps) nearest x.
+class _SupportQR:
+    """Wolfe's support, positions 0..k-1 holding rows of C, with a QR
+    factorization of its difference vectors C[support[t]] - C[support[0]].
 
-    The constraint is eliminated, mu = (1 - sum(nu), nu) with nu the least
-    squares solution of (Ps[1:] - Ps[0])^T nu = x - Ps[0], so the conditioning
-    of the support is not squared as in the bordered normal equations. One
-    row is its own affine hull: its weight is exactly 1."""
-    if Ps.shape[0] == 1:
-        return np.ones(1)
-    nu = np.linalg.lstsq((Ps[1:] - Ps[0]).T, x - Ps[0], rcond=None)[0]
-    return np.concatenate([[1.0 - nu.sum()], nu])
+    The first r rows of Q, a preallocated d x d buffer, are orthonormal; R is
+    r x r upper triangular in Python floats, kept by columns (R[i] holds rows
+    0..i of column i), and cols[i] is the position whose difference vector is
+    factor column i. A vector is added by classical Gram-Schmidt with one
+    reorthogonalization (CGS2); one that is dependent on the earlier ones to
+    rounding level gets no column, and weight 0. Deleting a position is a
+    Givens downdate, after rebasing the differences on position 1 when it is
+    position 0. While some position has no column, a deletion refactors the
+    whole support instead: a vector dependent on the deleted one may not be
+    dependent on the rest."""
+
+    __slots__ = ("C", "xc", "support", "Q", "R", "cols", "base", "w")
+
+    def __init__(self, C: np.ndarray, xc: np.ndarray, support: list):
+        self.C, self.xc, self.support = C, xc, support
+        self.Q = np.empty((C.shape[1], C.shape[1]))
+        self._refactor()
+
+    def _refactor(self):
+        self.base = self.C[self.support[0]]
+        self.w = self.xc - self.base
+        self.R, self.cols = [], []
+        for pos in range(1, len(self.support)):
+            self._append(pos)
+
+    def _append(self, pos: int):
+        Q, R = self.Q, self.R
+        r = len(R)
+        u = self.C[self.support[pos]] - self.base
+        h = []
+        if r:
+            Qr = Q[:r]
+            h1 = Qr.dot(u)
+            u -= h1.dot(Qr)
+            h2 = Qr.dot(u)
+            u -= h2.dot(Qr)
+            h = (h1 + h2).tolist()
+        rho2 = float(u.dot(u))
+        # u's squared norm before the projections is sum(h^2) + rho^2
+        if r == Q.shape[0] or rho2 <= AFFINE_DEPENDENT**2 * (sum(t * t for t in h) + rho2):
+            return
+        rho = math.sqrt(rho2)
+        np.divide(u, rho, out=Q[r])
+        h.append(rho)
+        R.append(h)
+        self.cols.append(pos)
+
+    def _delete(self, q: int):
+        """Drop factor column q; Givens rotations of rows (i, i + 1), i = q,
+        q + 1, ..., zero the subdiagonal this leaves in R and turn Q's rows
+        alike."""
+        R, Q = self.R, self.Q
+        del R[q]
+        for i in range(q, len(R)):
+            col = R[i]
+            a, b = col[i], col.pop()
+            h = math.hypot(a, b)
+            c, s = a / h, b / h
+            col[i] = h
+            for later in R[i + 1:]:
+                ai, bi = later[i], later[i + 1]
+                later[i], later[i + 1] = c * ai + s * bi, c * bi - s * ai
+            Q[i:i + 2] = np.array(((c, s), (-s, c))).dot(Q[i:i + 2])
+
+    def add(self, j: int):
+        self.support.append(j)
+        self._append(len(self.support) - 1)
+
+    def drop(self, gone: list):
+        """Delete the positions in gone, in increasing order."""
+        sup = self.support
+        if len(self.R) < len(sup) - 1:
+            for pos in reversed(gone):
+                del sup[pos]
+            self._refactor()
+            return
+        for pos in reversed(gone):
+            if pos:
+                self._delete(pos - 1)
+            else:
+                # the differences from position 1 are those from position 0
+                # less column 0, whose only entry is R[0][0]
+                r00 = self.R[0][0]
+                for col in self.R[1:]:
+                    col[0] -= r00
+                self._delete(0)
+                self.base = self.C[sup[1]]
+                self.w = self.xc - self.base
+            del sup[pos]
+        self.cols = list(range(1, len(sup)))
+
+    def weights(self) -> list:
+        """Weights mu, sum 1, over the support of the point of its affine
+        hull nearest x: nu from R nu = Q (x - C[support[0]]) by
+        back-substitution, on the factor columns, 0 on dependent positions
+        and 1 - sum(nu) on position 0. One position is its own affine hull:
+        its weight is exactly 1."""
+        R = self.R
+        mu = [0.0] * len(self.support)
+        if not R:
+            mu[0] = 1.0
+            return mu
+        c = self.Q[:len(R)].dot(self.w).tolist()
+        for i in range(len(R) - 1, -1, -1):
+            col = R[i]
+            nu = c[i] = c[i] / col[i]
+            for t in range(i):
+                c[t] -= col[t] * nu
+        for pos, nu in zip(self.cols, c):
+            mu[pos] = nu
+        mu[0] = 1.0 - sum(c)
+        return mu
+
+
+def _fw_gap(C: np.ndarray, xc: np.ndarray, y: np.ndarray):
+    """Frank-Wolfe duality gap of min ||xc - conv(rows of C)|| at the feasible
+    y, 2 max_j <c_j - y, xc - y>, clipped at 0, plus the most violating row
+    index. The row is the largest <c_j, xc - y>; its score is then taken on
+    c_j - y, which rounds on the scale of that difference, not of c_j. A NaN
+    gap stays NaN."""
+    v = xc - y
+    j = int(C.dot(v).argmax())
+    g = 2.0 * float((C[j] - y).dot(v))
+    return (0.0 if g <= 0.0 else g), j
+
+
+def _wolfe(P: np.ndarray, x: np.ndarray, support, lam):
+    """Wolfe's loop on the rows of P from x, started on the positions and
+    weights (support, lam), or at the nearest row when support is None.
+    Works on P and x less the first support row, so that scores and
+    differences are on the scale of the cloud, not of its offset. Returns
+    (y, gap, iterations, support, weights)."""
+    if support is None:
+        D = P - x
+        support, lam = [int((D * D).dot(np.ones(P.shape[1])).argmin())], [1.0]
+    origin = P[support[0]]
+    C, xc = P - origin, x - origin
+    f = _SupportQR(C, xc, support)
+    gap = math.inf
+    for iters in range(1, HULL_MAX_ITER + 1):
+        mu = f.weights()
+        if min(mu) < -1e-12:
+            # minor cycle: move from lam toward mu until a weight hits zero
+            t = min(1.0, min(-l / (u - l) for l, u in zip(lam, mu) if u - l < -1e-15))
+            lam = [max(l + t * (u - l), 0.0) for l, u in zip(lam, mu)]
+            f.drop([i for i, l in enumerate(lam) if not l > 1e-14])
+            lam = [l for l in lam if l > 1e-14]  # weights still sum to 1, so one is kept
+            total = sum(lam)
+            lam = [l / total for l in lam]
+            continue
+        lam = [max(u, 0.0) for u in mu]
+        total = sum(lam)
+        lam = [l / total for l in lam]
+        y = np.dot(lam, C.take(support, axis=0))
+        gap, j = _fw_gap(C, xc, y)
+        if gap <= GAP_TOL:
+            break
+        if j in support:
+            raise NonConvergenceError(
+                "project_hull stalled: the most violating vertex is already active", iters, gap
+            )
+        f.add(j)
+        lam.append(0.0)
+    else:
+        raise NonConvergenceError("project_hull hit its iteration cap", HULL_MAX_ITER, gap)
+    return y + origin, gap, iters, support, lam
 
 
 def project_hull(points, x, return_weights: bool = False, *, start=None):
     """Exact nearest point of conv(rows of points) from x.
 
     Wolfe's minimum-norm-point method (Wolfe 1976), started at the nearest
-    vertex: the major cycle adds the vertex with the largest Frank-Wolfe gap,
-    the minor cycle solves the affine least-squares problem on the support and
-    steps back to the last feasible point, dropping the vertex whose weight
-    reaches zero, whenever a weight of that solution is negative. The answer
-    is certified by a Frank-Wolfe gap of at most GAP_TOL; the loop raises
-    NonConvergenceError when it stalls (the most violating vertex is already
-    in the support) or reaches HULL_MAX_ITER iterations.
+    vertex. Each iteration finds the point of the support's affine hull
+    nearest x. When its weights are nonnegative (major cycle) it becomes the
+    iterate and the vertex with the largest Frank-Wolfe gap joins the
+    support; when one is negative (minor cycle) the iterate steps toward it
+    up to the last feasible point and the vertices whose weights reach zero
+    leave the support. The affine point comes from a QR factorization of the
+    support's difference vectors p_t - p_0, which is updated, not recomputed:
+    a joining vertex is one Gram-Schmidt step with reorthogonalization, a
+    leaving one a Givens downdate (see _SupportQR), and the weights are a
+    back-substitution. The answer is certified by a Frank-Wolfe gap of at
+    most GAP_TOL; the loop raises NonConvergenceError when it stalls (the
+    most violating vertex is already in the support) or reaches
+    HULL_MAX_ITER iterations.
 
     start warm-starts the method: a vector of convex weights over the rows,
     in the format return_weights gives. Wolfe then begins from its nonzero
@@ -575,6 +745,12 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     the wrong length, with a negative or non-finite entry, or with a zero or
     overflowing sum raises ValueError.
 
+    points must be an (m, d) array with m, d >= 1 and x a vector of length
+    d, all finite; ValueError otherwise. When an entry reaches HULL_HUGE,
+    points and x are projected scaled by 2^-e, 2^e just above their largest
+    entry, and the answer scaled back; a power-of-two scale is exact, and
+    the certificate is that of the scaled problem.
+
     A member comes back unchanged: when the hull point reproduces x to
     rounding level (see _snap_member) a copy of x is returned and the
     residual is added to the gap. With return_weights the convex weights over
@@ -582,57 +758,43 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     """
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
+    if P.ndim != 2 or P.shape[1] == 0 or x.shape != (P.shape[1],):
+        raise ValueError(
+            f"points must be an (m, d) array and x a vector of length d >= 1, got shapes "
+            f"{P.shape} and {x.shape}"
+        )
     m = P.shape[0]
     if m == 0:
         raise ValueError("empty point set")
 
-    if start is None:
-        support = [int(np.argmin(np.linalg.norm(P - x, axis=1)))]
-        lam_s = np.ones(1)
-    else:
+    support = lam = None
+    if start is not None:
         w = np.asarray(start, dtype=float)
         if w.shape != (m,):
             raise ValueError(f"start must hold one weight per row ({m}), got shape {w.shape}")
         with np.errstate(over="ignore"):  # an overflowing sum is rejected below
             total = float(w.sum())
-        if not (np.isfinite(w).all() and (w >= 0.0).all() and np.isfinite(total) and total > 0.0):
+        # a NaN entry makes the minimum NaN, an infinite one the sum
+        if not (w.min() >= 0.0 and math.isfinite(total) and total > 0.0):
             raise ValueError("start must be finite, nonnegative weights with a positive sum")
-        support = np.flatnonzero(w).tolist()
-        lam_s = w[support] / total
-    gap = np.inf
-    for iters in range(1, HULL_MAX_ITER + 1):
-        Ps = P[support]
-        mu = _affine_weights(Ps, x)
-        if mu.min() < -1e-12:
-            # minor cycle: move from lam_s toward mu until a weight hits zero
-            d = mu - lam_s
-            mask = d < -1e-15
-            t_star = float(np.min(-lam_s[mask] / d[mask]))
-            lam_s = np.maximum(lam_s + min(1.0, t_star) * d, 0.0)
-            keep = lam_s > 1e-14  # weights still sum to 1, so one is kept
-            support = [s for s, k_ in zip(support, keep) if k_]
-            lam_s = lam_s[keep]
-            lam_s /= lam_s.sum()
-            continue
-        lam_s = np.maximum(mu, 0.0)
-        lam_s /= lam_s.sum()
-        y = lam_s @ Ps
-        gap, j = _fw_gap(P, x, y)
-        if gap <= GAP_TOL:
-            break
-        if j in support:
-            raise NonConvergenceError(
-                "project_hull stalled: the most violating vertex is already active", iters, gap
-            )
-        support.append(j)
-        lam_s = np.append(lam_s, 0.0)
-    else:
-        raise NonConvergenceError("project_hull hit its iteration cap", HULL_MAX_ITER, gap)
-
-    y, gap = _snap_member(x, y, gap, vec_norm(x))
-    res = _result(x, y, "hull_qp", iters, gap)
+        support = np.flatnonzero(w)
+        lam = (w[support] / total).tolist()
+        support = support.tolist()
+    e = 0
+    # the sum of squares is NaN or inf for a non-finite entry and bounds the
+    # largest entry; vdot, a BLAS dot, does not warn when it overflows
+    if not float(np.vdot(P, P)) + float(np.vdot(x, x)) < HULL_HUGE * HULL_HUGE:
+        top_p, top_x = float(np.abs(P).max()), float(np.abs(x).max())
+        if not (math.isfinite(top_p) and math.isfinite(top_x)):
+            raise ValueError("points and x must be finite")
+        if max(top_p, top_x) >= HULL_HUGE:
+            e = math.frexp(max(top_p, top_x))[1]
+    xs = np.ldexp(x, -e) if e else x
+    y, gap, iters, support, lam = _wolfe(np.ldexp(P, -e) if e else P, xs, support, lam)
+    y, gap = _snap_member(xs, y, gap, vec_norm(xs))
+    res = _result(x, np.ldexp(y, e) if e else y, "hull_qp", iters, gap, huge=bool(e))
     if return_weights:
         full = np.zeros(m)
-        full[support] = lam_s
+        full[support] = lam
         return res, full
     return res
