@@ -2,10 +2,11 @@
 exposedness certificates for convex cones.
 
 The package is organized around immutable cone specifications (cone_algebra),
-exact and iterative projections (projection_engine), a face calculus
+exact and iterative projection kernels (projection_engine), a face calculus
 (facial_structure), a gallery of worked cones with known behavior (gallery),
 and sampling-based probes for regularity constants (amenability_probe,
-hull_constants, proj_exposed).
+hull_constants, proj_exposed). A cone variant's rules are the methods of its
+ConeSpec subclass.
 """
 from __future__ import annotations
 

@@ -237,68 +237,86 @@ def _vector(obj: dict, key: str, where: str):
     return v
 
 
+def _inner(obj: dict, key: str, where: str):
+    """The cone spec at obj[key], parsed with its path."""
+    return _cone_from_obj(_key(obj, key, where), f"{where}.{key}")
+
+
+def _polyhedral(CA, obj, where):
+    if "inequalities" in obj:
+        return CA.PolyhedralCone(_matrix(obj["inequalities"], where))
+    if "generators" in obj:
+        return CA.PolyhedralCone(generators=_matrix(obj["generators"], where))
+    raise CliInputError(f"{where}: polyhedral needs inequalities or generators")
+
+
+def _intersection(CA, obj, where):
+    parts = _key(obj, "parts", where)
+    if not isinstance(parts, list):
+        raise CliInputError(
+            f"{where}.parts: an 'intersection' spec needs a list of cone specs, "
+            f"got {type(parts).__name__}"
+        )
+    return CA.IntersectionCone(
+        tuple(_cone_from_obj(p, f"{where}.parts[{i}]") for i, p in enumerate(parts))
+    )
+
+
+def _hull(CA, obj, where):
+    pts = _matrix(_key(obj, "points", where), where)
+    e = _vector(obj, "e", where)
+    if pts.shape[1] != e.shape[0]:
+        raise CliInputError(f"{where}: hull points and e disagree on dimension")
+    level = _number(obj, "level", where, 1.0, positive=True)
+    return CA.ConicHull(CA.SliceSpec(e=e, sampler=lambda n: pts, level=level))
+
+
+def _gallery(CA, obj, where):
+    from .gallery import GALLERY, GALLERY_NAMES
+
+    name = obj.get("name")
+    density = _number(obj, "density", where, 2048, integer=True, positive=True)
+    # a tuple test: `name in GALLERY` raises TypeError for a list name
+    if name not in GALLERY_NAMES:
+        raise CliInputError(
+            f"{where}: unknown gallery cone {name!r}; "
+            f"known names: {', '.join(GALLERY_NAMES)}"
+        )
+    return GALLERY[name].build(density)
+
+
+# The parser of each cone spec "type" tag, given the cone_algebra module
+# (imported on first use, see above), the spec object and its path.
+_CONE_PARSERS = {
+    "orthant": lambda CA, o, w: CA.NonnegativeOrthant(_number(o, "dim", w, integer=True, positive=True)),
+    "soc": lambda CA, o, w: CA.SecondOrderCone(_number(o, "dim", w, integer=True, positive=True)),
+    "psd": lambda CA, o, w: CA.PsdCone(_number(o, "n", w, integer=True, positive=True)),
+    "polyhedral": _polyhedral,
+    "halfspace": lambda CA, o, w: CA.Halfspace(_vector(o, "normal", w), _number(o, "offset", w, 0.0)),
+    "subspace": lambda CA, o, w: CA.LinearSubspace(_matrix(_key(o, "basis", w), w)),
+    "product": lambda CA, o, w: CA.ProductCone(_inner(o, "left", w), _inner(o, "right", w)),
+    "intersection": _intersection,
+    "linear_image": lambda CA, o, w: CA.LinearImageCone(
+        _matrix(_key(o, "matrix", w), w), _inner(o, "inner", w)
+    ),
+    "hull": _hull,
+    "gallery": _gallery,
+}
+
+
 def _cone_from_obj(obj, where: str = "spec"):
     from . import cone_algebra as CA
 
     if not isinstance(obj, dict) or "type" not in obj:
         raise CliInputError(f'{where}: cone specs are objects with a "type" tag')
     kind = obj["type"]
-    if kind == "orthant":
-        return CA.NonnegativeOrthant(_number(obj, "dim", where, integer=True, positive=True))
-    if kind == "soc":
-        return CA.SecondOrderCone(_number(obj, "dim", where, integer=True, positive=True))
-    if kind == "psd":
-        return CA.PsdCone(_number(obj, "n", where, integer=True, positive=True))
-    if kind == "polyhedral":
-        if "inequalities" in obj:
-            return CA.PolyhedralCone(_matrix(obj["inequalities"], where))
-        if "generators" in obj:
-            return CA.PolyhedralCone(generators=_matrix(obj["generators"], where))
-        raise CliInputError(f"{where}: polyhedral needs inequalities or generators")
-    if kind == "halfspace":
-        return CA.Halfspace(_vector(obj, "normal", where), _number(obj, "offset", where, 0.0))
-    if kind == "subspace":
-        return CA.LinearSubspace(_matrix(_key(obj, "basis", where), where))
-    if kind == "product":
-        return CA.ProductCone(
-            _cone_from_obj(_key(obj, "left", where), where + ".left"),
-            _cone_from_obj(_key(obj, "right", where), where + ".right"),
+    # a str test first: an unhashable tag such as a list is unknown, not a TypeError
+    parse = _CONE_PARSERS.get(kind) if isinstance(kind, str) else None
+    if parse is None:
+        raise CliInputError(
+            f"{where}: unknown cone type {kind!r}; known types: {', '.join(_CONE_PARSERS)}"
         )
-    if kind == "intersection":
-        parts = tuple(
-            _cone_from_obj(p, f"{where}.parts[{i}]")
-            for i, p in enumerate(_key(obj, "parts", where))
-        )
-        return CA.IntersectionCone(parts)
-    if kind == "linear_image":
-        return CA.LinearImageCone(
-            _matrix(_key(obj, "matrix", where), where),
-            _cone_from_obj(_key(obj, "inner", where), where + ".inner"),
-        )
-    if kind == "hull":
-        pts = _matrix(_key(obj, "points", where), where)
-        e = _vector(obj, "e", where)
-        if pts.shape[1] != e.shape[0]:
-            raise CliInputError(f"{where}: hull points and e disagree on dimension")
-        level = _number(obj, "level", where, 1.0, positive=True)
-        return CA.ConicHull(CA.SliceSpec(e=e, sampler=lambda n: pts, level=level))
-    if kind == "gallery":
-        from .gallery import GALLERY, GALLERY_NAMES
-
-        name = obj.get("name")
-        density = _number(obj, "density", where, 2048, integer=True, positive=True)
-        # a tuple test: `name in GALLERY` raises TypeError for a list name
-        if name not in GALLERY_NAMES:
-            raise CliInputError(
-                f"{where}: unknown gallery cone {name!r}; "
-                f"known names: {', '.join(GALLERY_NAMES)}"
-            )
-        return GALLERY[name].build(density)
-    known = (
-        "orthant, soc, psd, polyhedral, halfspace, subspace, product, "
-        "intersection, linear_image, hull, gallery"
-    )
-    raise CliInputError(f"{where}: unknown cone type {kind!r}; known types: {known}")
+    return parse(CA, obj, where)
 
 
 def _load_spec(spec_arg: str | None):

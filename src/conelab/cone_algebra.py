@@ -1,8 +1,10 @@
-"""Cone specifications and the membership / dual-cone / slice calculus.
+"""Cone specifications and the membership / projection / dual / slice calculus.
 
 A ConeSpec is an immutable description of a closed convex cone (or, for a few
-named gallery objects, a compact convex set). Constructors validate shapes;
-numerical work lives in the membership and projection engines.
+named gallery objects, a compact convex set). Constructors validate shapes.
+Each variant's class holds all of its rules (see ConeSpec); the public
+functions, and projection_engine.project, make one method call. So a new
+variant is one subclass. The kernels the rules call live in projection_engine.
 
 Vector collections are (m, dim) arrays with vectors as rows. Polyhedral data
 follows the same convention: `inequalities` rows a_i describe {x : <a_i, x> >= 0}
@@ -11,7 +13,9 @@ and `generators` rows g_j describe cone{g_j}.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,9 +26,22 @@ from .linalg_core import (
     Tolerance,
     _embed,
     _freeze,
+    complement_basis,
     orthonormalize,
     sym_vec_dim,
+    vec_norm,
     vec_to_sym,
+)
+from .projection_engine import (
+    NonConvergenceError,
+    ProjectionResult,
+    _kkt_certified,
+    _project_scaled,
+    _result,
+    _snap_member,
+    dykstra_intersection,
+    project,
+    project_conic_generators,
 )
 
 __all__ = [
@@ -66,9 +83,104 @@ class NotRescalableError(ValueError):
     """Slice rescaling was asked for a point with nonpositive slice pairing."""
 
 
+# ---------------------------------------------------------------------------
+# Membership answers
+# ---------------------------------------------------------------------------
+
+
+class Membership(str, enum.Enum):
+    INSIDE = "inside"
+    BOUNDARY = "boundary"
+    OUTSIDE = "outside"
+
+
+@dataclass(frozen=True)
+class MembershipResult:
+    status: Membership
+    exact: bool
+    distance: float | None = None
+
+    @property
+    def in_set(self) -> bool:
+        return self.status != Membership.OUTSIDE
+
+
+def _classify(residual: float, eps: float) -> Membership:
+    """residual < 0 strictly inside, = 0 boundary, > 0 outside, up to eps."""
+    if residual > eps:
+        return Membership.OUTSIDE
+    if residual < -eps:
+        return Membership.INSIDE
+    return Membership.BOUNDARY
+
+
+def _eps(x: np.ndarray, tol: Tolerance) -> float:
+    return tol.margin(max(1.0, float(np.linalg.norm(x))))
+
+
+def _by_least_entry(w: np.ndarray, eps: float) -> MembershipResult:
+    """Exact membership in the orthant of the vector w (a point, or a
+    matrix's eigenvalues): its distance is the norm of w's negative part."""
+    lo = float(np.min(w))
+    if lo < -eps:
+        return MembershipResult(Membership.OUTSIDE, True, float(np.linalg.norm(np.minimum(w, 0.0))))
+    return MembershipResult(Membership.INSIDE if lo > eps else Membership.BOUNDARY, True, 0.0)
+
+
+def _all_of(results, distance: float | None) -> MembershipResult:
+    """Membership in a set given by its parts' results (a product's factors,
+    an intersection's parts): outside at distance if a part is, inside if
+    every part is, boundary otherwise; exact if every result is."""
+    exact = all(r.exact for r in results)
+    if any(r.status is Membership.OUTSIDE for r in results):
+        return MembershipResult(Membership.OUTSIDE, exact, distance)
+    if all(r.status is Membership.INSIDE for r in results):
+        return MembershipResult(Membership.INSIDE, exact, 0.0)
+    return MembershipResult(Membership.BOUNDARY, exact, 0.0)
+
+
+def _by_projection(K: ConeSpec, x: np.ndarray, tol: Tolerance, eps: float,
+                   exact: bool) -> MembershipResult:
+    """Membership by the projection's distance, outside above eps. A member
+    is told inside from boundary by probing a handful of fixed directions,
+    which is non-exact by nature."""
+    d = project(K, x).distance
+    if d > eps:
+        return MembershipResult(Membership.OUTSIDE, exact, d)
+    scale = max(1.0, float(np.linalg.norm(x)))
+    delta = max(1e-6 * scale, 100 * tol.margin(scale))
+    rng = np.random.default_rng(7)
+    dirs = rng.standard_normal((8, K.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for v in dirs:
+        if project(K, x + delta * v).distance > tol.margin(scale) + 1e-12:
+            return MembershipResult(Membership.BOUNDARY, exact, 0.0)
+    return MembershipResult(Membership.INSIDE, exact, 0.0)
+
+
+def _projected_gaussians(K: ConeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n points of K: projections of N(0, 4 I) draws."""
+    g = rng.standard_normal((n, K.dim)) * 2.0
+    return np.vstack([project(K, gi).point for gi in g])
+
+
+# ---------------------------------------------------------------------------
+# Specifications
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True, eq=False)
 class ConeSpec:
-    """Base class for immutable cone descriptions."""
+    """Base class for immutable cone descriptions. A variant overrides the
+    rules it has: `_project(x, tol)` and `_membership(x, tol)` get a point of
+    the right shape (projection_engine.project checks it is finite, too),
+    `dual()`, `sample(n, rng)` and `span_dim()`; the ones here raise.
+    `slice` is a conic hull's SliceSpec; `scales` says that the projection
+    commutes with scaling by a power of two, so project takes a point whose
+    x.x overflows at x / 2^e."""
+
+    slice = None
+    scales = False
 
     @property
     def dim(self) -> int:
@@ -80,9 +192,37 @@ class ConeSpec:
             raise DimensionMismatchError(self.dim, int(np.prod(x.shape)))
         return x
 
+    def _project(self, x: np.ndarray, tol: Tolerance) -> ProjectionResult:
+        raise UnsupportedVariantError(f"projection not implemented for {type(self).__name__}")
+
+    def _membership(self, x: np.ndarray, tol: Tolerance) -> MembershipResult:
+        raise UnsupportedVariantError(f"membership not implemented for {type(self).__name__}")
+
+    def dual(self) -> ConeSpec:
+        raise DualUnavailableError(f"no closed-form dual for {type(self).__name__}")
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        raise UnsupportedVariantError(f"sampling not implemented for {type(self).__name__}")
+
+    def span_dim(self) -> int:
+        raise UnsupportedVariantError(f"span dimension unknown for {type(self).__name__}")
+
+
+class _SymmetricCone(ConeSpec):
+    """The orthant, second-order and PSD atoms: self-dual, full-dimensional,
+    and their projections scale."""
+
+    scales = True
+
+    def dual(self):
+        return self
+
+    def span_dim(self):
+        return self.dim
+
 
 @dataclass(frozen=True, eq=False)
-class NonnegativeOrthant(ConeSpec):
+class NonnegativeOrthant(_SymmetricCone):
     n: int
 
     def __post_init__(self):
@@ -93,12 +233,23 @@ class NonnegativeOrthant(ConeSpec):
     def dim(self) -> int:
         return self.n
 
+    def _project(self, x, tol):
+        return _result(x, np.maximum(x, 0.0), "closed_form")
+
+    def _membership(self, x, tol):
+        return _by_least_entry(x, _eps(x, tol))
+
+    def sample(self, n, rng):
+        return rng.gamma(1.0, 1.0, size=(n, self.dim))
+
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(ConeSpec):
     """{x : <normal, x> <= offset}; a cone only when offset = 0.
 
-    The normal is normalized to unit length at construction.
+    The normal is normalized to unit length at construction, the offset
+    divided by the same norm, without overflow or underflow for a finite
+    nonzero normal of any size.
     """
 
     normal: np.ndarray
@@ -106,11 +257,24 @@ class Halfspace(ConeSpec):
 
     def __post_init__(self):
         v = np.asarray(self.normal, dtype=float)
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
+        top = float(np.abs(v).max()) if v.size else 0.0
+        if not math.isfinite(top):
+            raise ValueError("normal must be finite")
+        if top == 0.0:
             raise ValueError("normal must be nonzero")
-        object.__setattr__(self, "normal", _freeze(v / nrm))
-        object.__setattr__(self, "offset", float(self.offset) / nrm)
+        # v / 2^e has its largest entry in [0.5, 1), so its square sum can
+        # neither overflow nor vanish; ||v|| = nrm 2^e
+        e = math.frexp(top)[1]
+        u = np.ldexp(v, -e)
+        nrm = vec_norm(u)
+        off = float(self.offset)
+        try:
+            # the side of the 2^-e scaling on which the quotient cannot overflow
+            off = math.ldexp(off, -e) / nrm if e > 0 else math.ldexp(off / nrm, -e)
+        except OverflowError:
+            raise ValueError("offset / ||normal|| is past the float range") from None
+        object.__setattr__(self, "normal", _freeze(u / nrm))
+        object.__setattr__(self, "offset", off)
 
     @property
     def dim(self) -> int:
@@ -120,6 +284,38 @@ class Halfspace(ConeSpec):
     def is_cone(self) -> bool:
         return self.offset == 0.0
 
+    @property
+    def scales(self) -> bool:
+        return self.is_cone
+
+    def _project(self, x, tol):
+        if not (self.is_cone or math.isfinite(np.vdot(x, x))):
+            # x.x overflows (a cone scales in project): project x / 2^e onto
+            # the halfspace with its offset scaled alike, and scale back
+            e = math.frexp(float(np.abs(x).max()))[1]
+            return _project_scaled(Halfspace(self.normal, math.ldexp(self.offset, -e)), x, e, tol)
+        v = float(self.normal @ x) - self.offset
+        return _result(x, x - max(v, 0.0) * self.normal, "closed_form")
+
+    def _membership(self, x, tol):
+        v = float(self.normal @ x) - self.offset
+        return MembershipResult(_classify(v, _eps(x, tol)), True, max(v, 0.0))
+
+    def dual(self):
+        if not self.is_cone:
+            raise DualUnavailableError("halfspace with nonzero offset is not a cone")
+        return PolyhedralCone(generators=-self.normal[None, :])
+
+    def sample(self, n, rng):
+        if not self.is_cone:
+            raise UnsupportedVariantError("sampling only for cones")
+        g = rng.standard_normal((n, self.dim))
+        v = g @ self.normal
+        return g - np.outer(np.maximum(v, 0.0), self.normal)
+
+    def span_dim(self):
+        return self.dim
+
 
 @dataclass(frozen=True, eq=False)
 class LinearSubspace(ConeSpec):
@@ -127,6 +323,7 @@ class LinearSubspace(ConeSpec):
 
     basis: np.ndarray
     ambient: int | None = None
+    scales = True
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
@@ -149,6 +346,30 @@ class LinearSubspace(ConeSpec):
     def subspace_dim(self) -> int:
         return self.basis.shape[0]
 
+    def _project(self, x, tol):
+        p = (x @ self.basis.T) @ self.basis if self.subspace_dim else np.zeros_like(x)
+        p, gap = _snap_member(x, p, 0.0, vec_norm(x))
+        return _result(x, p, "closed_form", 0, gap)
+
+    def _membership(self, x, tol):
+        if self.subspace_dim == self.dim:
+            return MembershipResult(Membership.INSIDE, True, 0.0)
+        r = x - (x @ self.basis.T) @ self.basis if self.subspace_dim else x
+        d = float(np.linalg.norm(r))
+        status = Membership.BOUNDARY if d <= _eps(x, tol) else Membership.OUTSIDE
+        return MembershipResult(status, True, d if status is Membership.OUTSIDE else 0.0)
+
+    def dual(self):
+        return LinearSubspace(complement_basis(self.basis, self.dim), ambient=self.dim)
+
+    def sample(self, n, rng):
+        if self.subspace_dim == 0:
+            return np.zeros((n, self.dim))
+        return rng.standard_normal((n, self.subspace_dim)) @ self.basis
+
+    def span_dim(self):
+        return self.subspace_dim
+
 
 @dataclass(frozen=True, eq=False)
 class PolyhedralCone(ConeSpec):
@@ -156,6 +377,7 @@ class PolyhedralCone(ConeSpec):
 
     inequalities: np.ndarray | None = None
     generators: np.ndarray | None = None
+    scales = True
 
     def __post_init__(self):
         if self.inequalities is None and self.generators is None:
@@ -179,9 +401,57 @@ class PolyhedralCone(ConeSpec):
         a = self.inequalities if self.inequalities is not None else self.generators
         return a.shape[1]
 
+    def _project(self, x, tol):
+        if self.generators is not None:
+            p, lam, gap = project_conic_generators(self.generators, x)
+            return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
+        # inequality representation: Moreau with the dual cone's generators,
+        # proj_K(x) = x + proj_{K*}(-x) for K = {x : Ax >= 0}, K* = cone{A^T}.
+        q, lam, gap = project_conic_generators(self.inequalities, -x)
+        return _result(x, x + q, "hull_qp", int(np.count_nonzero(lam)), gap)
+
+    def _membership(self, x, tol):
+        scale = max(1.0, float(np.linalg.norm(x)))
+        if self.inequalities is not None:
+            vals = self.inequalities @ x
+            worst = float(np.min(vals)) if vals.size else 1.0
+            row_scale = np.linalg.norm(self.inequalities, axis=1).max(initial=1.0)
+            e = tol.margin(scale * row_scale)
+            if worst < -e:
+                return MembershipResult(Membership.OUTSIDE, True, project(self, x).distance)
+            status = Membership.INSIDE if worst > e else Membership.BOUNDARY
+            return MembershipResult(status, True, 0.0)
+        # generator representation: exact distance by nonnegative least squares
+        return _by_projection(self, x, tol, tol.margin(scale), True)
+
+    def dual(self):
+        """Swap representations: inequality rows become generator rows and
+        vice versa."""
+        ineq = self.generators.copy() if self.generators is not None else None
+        gens = self.inequalities.copy() if self.inequalities is not None else None
+        return PolyhedralCone(inequalities=ineq, generators=gens)
+
+    def sample(self, n, rng):
+        if self.generators is not None:
+            w = rng.gamma(1.0, 1.0, size=(n, self.generators.shape[0]))
+            return w @ self.generators
+        return _projected_gaussians(self, n, rng)
+
+    def span_dim(self):
+        if self.generators is not None:
+            return orthonormalize(self.generators).shape[0]
+        # span(K) is the complement of the implicit equalities: the rows a_i
+        # with -a_i in K* = cone{rows}, which vanish on all of K
+        A = self.inequalities
+        implicit = [
+            a for a in A
+            if vec_norm(project_conic_generators(A, -a)[0] + a) <= DEFAULT_TOL.margin(vec_norm(a))
+        ]
+        return self.dim - orthonormalize(np.reshape(implicit, (-1, self.dim))).shape[0]
+
 
 @dataclass(frozen=True, eq=False)
-class SecondOrderCone(ConeSpec):
+class SecondOrderCone(_SymmetricCone):
     """{(y, t) in R^{n-1} x R : ||y|| <= t}; the bound is the last coordinate."""
 
     n: int
@@ -194,9 +464,37 @@ class SecondOrderCone(ConeSpec):
     def dim(self) -> int:
         return self.n
 
+    def _project(self, x, tol):
+        y, t = x[:-1], float(x[-1])
+        ny = vec_norm(y)  # project scales a point whose x.x overflows first
+        if ny <= t:
+            return _result(x, x.copy(), "closed_form")
+        if ny <= -t:
+            return _result(x, np.zeros_like(x), "closed_form")
+        c = ny / 2.0 + t / 2.0  # (ny + t) / 2 bitwise, and finite up to the float max
+        p = np.empty_like(x)
+        p[:-1] = (c / ny) * y
+        p[-1] = c
+        return _result(x, p, "closed_form")
+
+    def _membership(self, x, tol):
+        eps = _eps(x, tol)
+        v = float(np.linalg.norm(x[:-1])) - float(x[-1])
+        if v > eps:
+            # distance via the closed-form projection residual
+            return MembershipResult(Membership.OUTSIDE, True, project(self, x).distance)
+        return MembershipResult(_classify(v, eps), True, 0.0)
+
+    def sample(self, n, rng):
+        y = rng.standard_normal((n, self.dim - 1))
+        y /= np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300)
+        r = rng.random(n)
+        t = rng.gamma(2.0, 1.0, size=n)
+        return np.column_stack([y * (r * t)[:, None], t])
+
 
 @dataclass(frozen=True, eq=False)
-class PsdCone(ConeSpec):
+class PsdCone(_SymmetricCone):
     """PSD cone over symmetric n x n matrices in the sym_to_vec embedding."""
 
     n: int
@@ -208,6 +506,29 @@ class PsdCone(ConeSpec):
     @property
     def dim(self) -> int:
         return sym_vec_dim(self.n)
+
+    def _project(self, x, tol):
+        w, U = np.linalg.eigh(vec_to_sym(x))
+        # nothing to clip: rebuilding U diag(w) U^T would only add rounding
+        p = x.copy() if w[0] >= 0.0 else _embed((U * np.maximum(w, 0.0)) @ U.T)
+        return _result(x, p, "eigen_clip")
+
+    def _membership(self, x, tol):
+        return _by_least_entry(np.linalg.eigvalsh(vec_to_sym(x)), _eps(x, tol))
+
+    def sample(self, n, rng):
+        """Each row is the Gram matrix a a^T of a k x r Gaussian factor, r
+        uniform on 1..k, drawn for all rows at once (ranks, then an (n, k, k)
+        Gaussian stack): a seed gives other rows than per-row draws would."""
+        # zeroing a row's factor columns at or past its rank r gives rank r
+        ranks = rng.integers(1, self.n + 1, size=n)
+        a = rng.standard_normal((n, self.n, self.n))
+        a = np.where(np.arange(self.n) < ranks[:, None, None], a, 0.0)
+        return _embed(a @ a.transpose(0, 2, 1))
+
+
+# The method label of a product's projection is that of its factor ranked last.
+_METHOD_RANK = {"closed_form": 0, "eigen_clip": 1, "hull_qp": 2, "dykstra": 3}
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +553,35 @@ class ProductCone(ConeSpec):
                 out.append(part)
         return out
 
+    def _project(self, x, tol):
+        xl, xr = self.split(x)
+        rl = project(self.left, xl, tol)
+        rr = project(self.right, xr, tol)
+        return ProjectionResult(
+            np.concatenate([rl.point, rr.point]),
+            float(np.hypot(rl.distance, rr.distance)),
+            max(rl.method, rr.method, key=_METHOD_RANK.__getitem__),
+            rl.iterations + rr.iterations,
+            rl.certificate_gap + rr.certificate_gap,
+        )
+
+    def _membership(self, x, tol):
+        xl, xr = self.split(x)
+        rl = membership(self.left, xl, tol)
+        rr = membership(self.right, xr, tol)
+        if rl.distance is None or rr.distance is None:
+            return _all_of((rl, rr), None)
+        return _all_of((rl, rr), float(np.hypot(rl.distance, rr.distance)))
+
+    def dual(self):
+        return ProductCone(dual_cone(self.left), dual_cone(self.right))
+
+    def sample(self, n, rng):
+        return np.hstack([sample_points(self.left, n, rng), sample_points(self.right, n, rng)])
+
+    def span_dim(self):
+        return cone_span_dim(self.left) + cone_span_dim(self.right)
+
 
 @dataclass(frozen=True, eq=False)
 class IntersectionCone(ConeSpec):
@@ -250,6 +600,21 @@ class IntersectionCone(ConeSpec):
     @property
     def dim(self) -> int:
         return self.parts[0].dim
+
+    @property
+    def scales(self) -> bool:
+        return all(part.scales for part in self.parts)
+
+    def _project(self, x, tol):
+        return dykstra_intersection(self.parts, x, tol=tol)
+
+    def _membership(self, x, tol):
+        # the parts' distances only bound the distance to the intersection
+        # from below: it is not reported
+        return _all_of([membership(p, x, tol) for p in self.parts], None)
+
+    def sample(self, n, rng):
+        return _projected_gaussians(self, n, rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,6 +642,68 @@ class LinearImageCone(ConeSpec):
     def orthonormal_columns(self) -> bool:
         a = self.matrix
         return bool(np.allclose(a.T @ a, np.eye(a.shape[1]), atol=1e-12))
+
+    @property
+    def scales(self) -> bool:
+        return self.inner.scales
+
+    def _project(self, x, tol):
+        A = self.matrix
+        if self.orthonormal_columns:
+            # image of the inner cone under an isometry: push down, project, push up
+            inner = project(self.inner, A.T @ x, tol)
+            p, gap = _snap_member(x, A @ inner.point, inner.certificate_gap, vec_norm(x))
+            # distance accounts for the component of x off the column span
+            return _result(x, p, inner.method, inner.iterations, gap)
+        # general full-column-rank map: accelerated projected gradient on
+        # min_z ||A z - x||^2 over z in inner, tagged with the QP family label.
+        # The answer is certified by the KKT gap of the gradient g = A^T (A z - x):
+        # its distance to the inner cone's dual, which is ||P_inner(-g)|| by
+        # Moreau, plus |<g, z>|; the first term is compared in image units.
+        L = float(np.linalg.norm(A, 2) ** 2)
+        z = np.linalg.lstsq(A, x, rcond=None)[0]
+        z = project(self.inner, z, tol).point
+        zp = z.copy()
+        t_acc = 1.0
+        gap = float("inf")
+        max_iter = 5000
+        for it in range(1, max_iter + 1):
+            y = z + ((t_acc - 1) / (t_acc + 2)) * (z - zp)
+            g = A.T @ (A @ y - x)
+            znew = project(self.inner, y - g / L, tol).point
+            zp, z = z, znew
+            t_acc += 1.0
+            if float(np.linalg.norm(z - zp)) <= 1e-12 * max(1.0, float(np.linalg.norm(z))):
+                p = A @ z
+                g = A.T @ (p - x)
+                dual = float(np.linalg.norm(project(self.inner, -g, tol).point))
+                comp = abs(float(g @ z))
+                gap = dual + comp
+                if _kkt_certified(dual / np.sqrt(L), comp, float(np.linalg.norm(x))):
+                    break
+        else:
+            raise NonConvergenceError("linear-image projection KKT gap above tolerance", max_iter, gap)
+        p, gap = _snap_member(x, p, gap, vec_norm(x))
+        return _result(x, p, "hull_qp", it, gap)
+
+    def _membership(self, x, tol):
+        z = np.linalg.lstsq(self.matrix, x, rcond=None)[0]
+        resid = float(np.linalg.norm(self.matrix @ z - x))
+        if resid > _eps(x, tol):
+            return MembershipResult(Membership.OUTSIDE, True, None)
+        inner = membership(self.inner, z, tol)
+        if inner.status is Membership.OUTSIDE:
+            return MembershipResult(Membership.OUTSIDE, inner.exact, None)
+        full_dim = self.matrix.shape[0] == self.matrix.shape[1]
+        if inner.status is Membership.INSIDE and full_dim:
+            return MembershipResult(Membership.INSIDE, inner.exact, 0.0)
+        return MembershipResult(Membership.BOUNDARY, inner.exact, 0.0)
+
+    def sample(self, n, rng):
+        return sample_points(self.inner, n, rng) @ self.matrix.T
+
+    def span_dim(self):
+        return cone_span_dim(self.inner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,10 +735,43 @@ class ConicHull(ConeSpec):
 
     slice_spec: SliceSpec
     density: int = 2048
+    scales = True
 
     @property
     def dim(self) -> int:
         return self.slice_spec.dim
+
+    @property
+    def slice(self) -> SliceSpec:
+        return self.slice_spec
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The slice samples the projection runs on, drawn once."""
+        return np.asarray(self.slice_spec.sampler(self.density), dtype=float)
+
+    def _project(self, x, tol):
+        p, lam, gap = project_conic_generators(self.points, x)
+        return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
+
+    def _membership(self, x, tol):
+        eps = _eps(x, tol)
+        if float(np.linalg.norm(x)) <= eps:
+            return MembershipResult(Membership.BOUNDARY, False, 0.0)
+        return _by_projection(self, x, tol, eps, False)
+
+    def sample(self, n, rng):
+        pts = self.slice_spec.sampler(self.density)
+        idx = rng.integers(0, pts.shape[0], size=n)
+        t = rng.gamma(2.0, 1.0, size=n)
+        base = pts[idx] * t[:, None]
+        # mix in pairwise combinations for interior coverage
+        jdx = rng.integers(0, pts.shape[0], size=n)
+        lam = rng.random(n)[:, None]
+        return lam * base + (1 - lam) * (pts[jdx] * t[:, None])
+
+    def span_dim(self):
+        return orthonormalize(self.slice_spec.sampler(min(self.density, 512))).shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +780,8 @@ class GallerySet(ConeSpec):
 
     Each operation is one of its closures: membership, projection, sampling
     and the dual, with the slice and span dimension read from `extra`. An
-    operation whose closure is missing raises UnsupportedVariantError.
+    operation whose closure is missing raises UnsupportedVariantError
+    (DualUnavailableError for the dual).
     `is_cone` is False for the compact convex sets in the gallery (their
     names are kept for the probes, which work with convex sets directly).
     """
@@ -338,36 +799,37 @@ class GallerySet(ConeSpec):
     def dim(self) -> int:
         return self.ambient_dim
 
-
-# ---------------------------------------------------------------------------
-# Membership
-# ---------------------------------------------------------------------------
-
-
-class Membership(str, enum.Enum):
-    INSIDE = "inside"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
-
-
-@dataclass(frozen=True)
-class MembershipResult:
-    status: Membership
-    exact: bool
-    distance: float | None = None
-
     @property
-    def in_set(self) -> bool:
-        return self.status != Membership.OUTSIDE
+    def slice(self) -> SliceSpec | None:
+        return self.extra.get("slice")
+
+    def _closure(self, fn: Callable | None, rule: str, error=UnsupportedVariantError) -> Callable:
+        """fn, or the error saying that this object has no such rule."""
+        if fn is None:
+            raise error(f"gallery object {self.name!r} has no {rule}")
+        return fn
+
+    def _project(self, x, tol):
+        return self._closure(self.project_fn, "projector")(x)
+
+    def _membership(self, x, tol):
+        return self._closure(self.member_fn, "membership rule")(x, tol)
+
+    def dual(self):
+        return self._closure(self.dual_factory, "dual rule", DualUnavailableError)()
+
+    def sample(self, n, rng):
+        return self._closure(self.sample_fn, "sampler")(n, rng)
+
+    def span_dim(self):
+        if "span_dim" in self.extra:
+            return self.extra["span_dim"]
+        return super().span_dim()
 
 
-def _classify(residual: float, eps: float) -> Membership:
-    """residual < 0 strictly inside, = 0 boundary, > 0 outside, up to eps."""
-    if residual > eps:
-        return Membership.OUTSIDE
-    if residual < -eps:
-        return Membership.INSIDE
-    return Membership.BOUNDARY
+# ---------------------------------------------------------------------------
+# Public calculus: one method call each
+# ---------------------------------------------------------------------------
 
 
 def membership(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
@@ -375,145 +837,11 @@ def membership(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult
 
     Exact rules are used for orthant, halfspace, subspace, second-order, PSD,
     polyhedral, and products/intersections of these; conic hulls fall back to
-    the sampled projection and are flagged non-exact.
+    the sampled projection and are flagged non-exact. The distance of an
+    outside point is None where the rule cannot give it: intersections and
+    linear images.
     """
-    x = K._check_point(x)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    eps = tol.margin(scale)
-
-    if isinstance(K, GallerySet):
-        if K.member_fn is not None:
-            return K.member_fn(x, tol)
-        raise UnsupportedVariantError(f"gallery object {K.name!r} has no membership rule")
-
-    if isinstance(K, NonnegativeOrthant):
-        worst = float(np.min(x))
-        if worst < -eps:
-            return MembershipResult(Membership.OUTSIDE, True, float(np.linalg.norm(np.minimum(x, 0.0))))
-        status = Membership.INSIDE if worst > eps else Membership.BOUNDARY
-        return MembershipResult(status, True, 0.0)
-
-    if isinstance(K, Halfspace):
-        v = float(K.normal @ x) - K.offset
-        status = _classify(v, eps)
-        return MembershipResult(status, True, max(v, 0.0))
-
-    if isinstance(K, LinearSubspace):
-        if K.subspace_dim == K.dim:
-            return MembershipResult(Membership.INSIDE, True, 0.0)
-        r = x - (x @ K.basis.T) @ K.basis if K.subspace_dim else x
-        d = float(np.linalg.norm(r))
-        status = Membership.BOUNDARY if d <= eps else Membership.OUTSIDE
-        return MembershipResult(status, True, d if status is Membership.OUTSIDE else 0.0)
-
-    if isinstance(K, SecondOrderCone):
-        y, t = x[:-1], x[-1]
-        v = float(np.linalg.norm(y)) - float(t)
-        if v > eps:
-            # distance via the closed-form projection residual
-            from .projection_engine import project
-
-            return MembershipResult(Membership.OUTSIDE, True, project(K, x).distance)
-        return MembershipResult(_classify(v, eps), True, 0.0)
-
-    if isinstance(K, PsdCone):
-        w = np.linalg.eigvalsh(vec_to_sym(x))
-        lo = float(w[0])
-        if lo < -eps:
-            return MembershipResult(Membership.OUTSIDE, True, float(np.linalg.norm(np.minimum(w, 0.0))))
-        status = Membership.INSIDE if lo > eps else Membership.BOUNDARY
-        return MembershipResult(status, True, 0.0)
-
-    if isinstance(K, PolyhedralCone):
-        if K.inequalities is not None:
-            vals = K.inequalities @ x
-            worst = float(np.min(vals)) if vals.size else 1.0
-            row_scale = np.linalg.norm(K.inequalities, axis=1).max(initial=1.0)
-            e = tol.margin(scale * row_scale)
-            if worst < -e:
-                from .projection_engine import project
-
-                return MembershipResult(Membership.OUTSIDE, True, project(K, x).distance)
-            status = Membership.INSIDE if worst > e else Membership.BOUNDARY
-            return MembershipResult(status, True, 0.0)
-        # generator representation: exact distance by nonnegative least squares
-        from .projection_engine import project
-
-        d = project(K, x).distance
-        if d > eps:
-            return MembershipResult(Membership.OUTSIDE, True, d)
-        return MembershipResult(_interior_probe(K, x, tol), True, 0.0)
-
-    if isinstance(K, ProductCone):
-        xl, xr = K.split(x)
-        rl = membership(K.left, xl, tol)
-        rr = membership(K.right, xr, tol)
-        exact = rl.exact and rr.exact
-        if rl.status is Membership.OUTSIDE or rr.status is Membership.OUTSIDE:
-            d = None
-            if rl.distance is not None and rr.distance is not None:
-                d = float(np.hypot(rl.distance, rr.distance))
-            return MembershipResult(Membership.OUTSIDE, exact, d)
-        if rl.status is Membership.INSIDE and rr.status is Membership.INSIDE:
-            return MembershipResult(Membership.INSIDE, exact, 0.0)
-        return MembershipResult(Membership.BOUNDARY, exact, 0.0)
-
-    if isinstance(K, IntersectionCone):
-        results = [membership(p, x, tol) for p in K.parts]
-        exact = all(r.exact for r in results)
-        if any(r.status is Membership.OUTSIDE for r in results):
-            d = max((r.distance for r in results if r.distance is not None), default=None)
-            return MembershipResult(Membership.OUTSIDE, exact, d)
-        if all(r.status is Membership.INSIDE for r in results):
-            return MembershipResult(Membership.INSIDE, exact, 0.0)
-        return MembershipResult(Membership.BOUNDARY, exact, 0.0)
-
-    if isinstance(K, LinearImageCone):
-        z = np.linalg.lstsq(K.matrix, x, rcond=None)[0]
-        resid = float(np.linalg.norm(K.matrix @ z - x))
-        if resid > eps:
-            return MembershipResult(Membership.OUTSIDE, True, None)
-        inner = membership(K.inner, z, tol)
-        if inner.status is Membership.OUTSIDE:
-            return MembershipResult(Membership.OUTSIDE, inner.exact, None)
-        full_dim = K.matrix.shape[0] == K.matrix.shape[1]
-        if inner.status is Membership.INSIDE and full_dim:
-            return MembershipResult(Membership.INSIDE, inner.exact, 0.0)
-        return MembershipResult(Membership.BOUNDARY, inner.exact, 0.0)
-
-    if isinstance(K, ConicHull):
-        from .projection_engine import project
-
-        nx = float(np.linalg.norm(x))
-        if nx <= eps:
-            return MembershipResult(Membership.BOUNDARY, False, 0.0)
-        d = project(K, x).distance
-        if d > eps:
-            return MembershipResult(Membership.OUTSIDE, False, d)
-        return MembershipResult(_interior_probe(K, x, tol), False, 0.0)
-
-    raise UnsupportedVariantError(f"membership not implemented for {type(K).__name__}")
-
-
-def _interior_probe(K: ConeSpec, x: np.ndarray, tol: Tolerance) -> Membership:
-    """Distinguish inside from boundary for projection-backed variants by
-    probing a handful of fixed directions. Non-exact by nature."""
-    from .projection_engine import project
-
-    scale = max(1.0, float(np.linalg.norm(x)))
-    delta = max(1e-6 * scale, 100 * tol.margin(scale))
-    rng = np.random.default_rng(7)
-    dirs = rng.standard_normal((8, K.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for d in dirs:
-        if project(K, x + delta * d).distance > tol.margin(scale) + 1e-12:
-            return Membership.BOUNDARY
-    return Membership.INSIDE
-
-
-# ---------------------------------------------------------------------------
-# Duals
-# ---------------------------------------------------------------------------
+    return K._membership(K._check_point(x), tol)
 
 
 def dual_cone(K: ConeSpec) -> ConeSpec:
@@ -523,40 +851,11 @@ def dual_cone(K: ConeSpec) -> ConeSpec:
     rows and vice versa); general intersections, conic hulls, and linear
     images raise DualUnavailableError.
     """
-    if isinstance(K, (NonnegativeOrthant, SecondOrderCone, PsdCone)):
-        return K
-    if isinstance(K, Halfspace):
-        if not K.is_cone:
-            raise DualUnavailableError("halfspace with nonzero offset is not a cone")
-        return PolyhedralCone(generators=-K.normal[None, :])
-    if isinstance(K, LinearSubspace):
-        from .linalg_core import complement_basis
-
-        return LinearSubspace(complement_basis(K.basis, K.dim), ambient=K.dim)
-    if isinstance(K, PolyhedralCone):
-        ineq = K.generators.copy() if K.generators is not None else None
-        gens = K.inequalities.copy() if K.inequalities is not None else None
-        return PolyhedralCone(inequalities=ineq, generators=gens)
-    if isinstance(K, ProductCone):
-        return ProductCone(dual_cone(K.left), dual_cone(K.right))
-    if isinstance(K, GallerySet):
-        if K.dual_factory is not None:
-            return K.dual_factory()
-        raise DualUnavailableError(f"gallery object {K.name!r} has no dual rule")
-    raise DualUnavailableError(f"no closed-form dual for {type(K).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Slices and sampling
-# ---------------------------------------------------------------------------
+    return K.dual()
 
 
 def get_slice(K: ConeSpec) -> SliceSpec | None:
-    if isinstance(K, ConicHull):
-        return K.slice_spec
-    if isinstance(K, GallerySet):
-        return K.extra.get("slice")
-    return None
+    return K.slice
 
 
 def rescale_to_slice(K: ConeSpec, x) -> np.ndarray:
@@ -581,80 +880,10 @@ def sample_points(K: ConeSpec, n: int, rng: np.random.Generator) -> np.ndarray:
 
     Conic variants return nonnegative combinations of primitive members;
     the draw is not uniform in any canonical measure, just well spread.
-    A PSD(k) row is the Gram matrix a a^T of a k x r Gaussian factor, r
-    uniform on 1..k, drawn for all rows at once (ranks, then an (n, k, k)
-    Gaussian stack): a seed gives other rows than the old per-row draws.
     """
-    if isinstance(K, GallerySet):
-        if K.sample_fn is not None:
-            return K.sample_fn(n, rng)
-        raise UnsupportedVariantError(f"gallery object {K.name!r} has no sampler")
-    if isinstance(K, NonnegativeOrthant):
-        return rng.gamma(1.0, 1.0, size=(n, K.dim))
-    if isinstance(K, Halfspace):
-        if not K.is_cone:
-            raise UnsupportedVariantError("sampling only for cones")
-        g = rng.standard_normal((n, K.dim))
-        v = g @ K.normal
-        return g - np.outer(np.maximum(v, 0.0), K.normal)
-    if isinstance(K, LinearSubspace):
-        if K.subspace_dim == 0:
-            return np.zeros((n, K.dim))
-        return rng.standard_normal((n, K.subspace_dim)) @ K.basis
-    if isinstance(K, SecondOrderCone):
-        y = rng.standard_normal((n, K.dim - 1))
-        y /= np.maximum(np.linalg.norm(y, axis=1, keepdims=True), 1e-300)
-        r = rng.random(n)
-        t = rng.gamma(2.0, 1.0, size=n)
-        return np.column_stack([y * (r * t)[:, None], t])
-    if isinstance(K, PsdCone):
-        # zeroing a row's factor columns at or past its rank r gives rank r
-        ranks = rng.integers(1, K.n + 1, size=n)
-        a = rng.standard_normal((n, K.n, K.n))
-        a = np.where(np.arange(K.n) < ranks[:, None, None], a, 0.0)
-        return _embed(a @ a.transpose(0, 2, 1))
-    if isinstance(K, PolyhedralCone) and K.generators is not None:
-        w = rng.gamma(1.0, 1.0, size=(n, K.generators.shape[0]))
-        return w @ K.generators
-    if isinstance(K, (PolyhedralCone, IntersectionCone)):
-        from .projection_engine import project
-
-        g = rng.standard_normal((n, K.dim)) * 2.0
-        return np.vstack([project(K, gi).point for gi in g])
-    if isinstance(K, ProductCone):
-        return np.hstack([sample_points(K.left, n, rng), sample_points(K.right, n, rng)])
-    if isinstance(K, LinearImageCone):
-        return sample_points(K.inner, n, rng) @ K.matrix.T
-    if isinstance(K, ConicHull):
-        pts = K.slice_spec.sampler(K.density)
-        idx = rng.integers(0, pts.shape[0], size=n)
-        t = rng.gamma(2.0, 1.0, size=n)
-        base = pts[idx] * t[:, None]
-        # mix in pairwise combinations for interior coverage
-        jdx = rng.integers(0, pts.shape[0], size=n)
-        lam = rng.random(n)[:, None]
-        return lam * base + (1 - lam) * (pts[jdx] * t[:, None])
-    raise UnsupportedVariantError(f"sampling not implemented for {type(K).__name__}")
+    return K.sample(n, rng)
 
 
 def cone_span_dim(K: ConeSpec) -> int:
     """Dimension of span(K) for variants where it is known a priori."""
-    if isinstance(K, (NonnegativeOrthant, SecondOrderCone, PsdCone, Halfspace)):
-        return K.dim
-    if isinstance(K, LinearSubspace):
-        return K.subspace_dim
-    if isinstance(K, ProductCone):
-        return cone_span_dim(K.left) + cone_span_dim(K.right)
-    if isinstance(K, PolyhedralCone):
-        if K.generators is not None:
-            return orthonormalize(K.generators).shape[0]
-        return K.dim  # inequality representation with nonempty interior assumed
-    if isinstance(K, LinearImageCone):
-        return cone_span_dim(K.inner)
-    if isinstance(K, ConicHull):
-        pts = K.slice_spec.sampler(min(K.density, 512))
-        return orthonormalize(pts).shape[0]
-    if isinstance(K, GallerySet):
-        if "span_dim" in K.extra:
-            return K.extra["span_dim"]
-    raise UnsupportedVariantError(f"span dimension unknown for {type(K).__name__}")
+    return K.span_dim()

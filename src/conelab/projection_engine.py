@@ -1,13 +1,16 @@
-"""Euclidean projections onto cone specifications and convex hulls.
+"""Euclidean projection kernels, and `project`, the entry point that runs a
+spec's projection rule.
 
-Closed forms are used wherever they exist (orthant clipping, halfspaces,
-subspaces, the second-order cone, PSD eigenvalue clipping). Intersections run
-Dykstra's alternating scheme. Finite projections run exact active-set
-solves: finitely generated cones go through Lawson-Hanson nonnegative least
-squares (scipy's `nnls`, grown from a screened working set of generators when
-there are many), and hulls of point clouds through Wolfe's minimum-norm-point
-method. Both finite kernels either return an answer whose
-optimality certificate is within tolerance or raise NonConvergenceError.
+Each cone variant's projection rule is its `_project` method, in its class in
+cone_algebra; `project` checks the point and calls it. This module knows no
+spec class. It holds what the rules call: the scaled second-order cone's closed
+form, Dykstra's alternating scheme for intersections, and two exact
+active-set solves for finite projections: finitely generated cones go through
+Lawson-Hanson nonnegative least squares (scipy's `nnls`, grown from a screened
+working set of generators when there are many), and hulls of point clouds
+through Wolfe's minimum-norm-point method. Both finite kernels either return
+an answer whose optimality certificate is within tolerance or raise
+NonConvergenceError.
 
 Wolfe's method alternates major cycles, which add the vertex with the largest
 Frank-Wolfe gap to the support, and minor cycles, which step back toward the
@@ -25,35 +28,19 @@ Dykstra and the hull kernel run on numpy alone.
 
 A point that is already in the cone comes back unchanged: the orthant,
 halfspace and second-order-cone closed forms and the PSD eigenvalue clip return
-the input's values when nothing is clipped, and the subspace, orthonormal
-linear-image, generator and hull projections return the input when their
-answer reproduces it to rounding level, adding that rounding residual to the
+the input's values when nothing is clipped, and the subspace, linear-image,
+generator and hull projections return the input when their answer reproduces
+it to rounding level (_snap_member), adding that rounding residual to the
 certificate.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cone_algebra import (
-    ConeSpec,
-    ConicHull,
-    GallerySet,
-    Halfspace,
-    IntersectionCone,
-    LinearImageCone,
-    LinearSubspace,
-    NonnegativeOrthant,
-    PolyhedralCone,
-    ProductCone,
-    PsdCone,
-    SecondOrderCone,
-    UnsupportedVariantError,
-)
-from .linalg_core import DEFAULT_TOL, Tolerance, _embed, vec_norm, vec_to_sym
+from .linalg_core import DEFAULT_TOL, Tolerance, vec_norm
 
 __all__ = [
     "ProjectionResult",
@@ -83,9 +70,9 @@ class ProjectionResult:
     """Projection answer: the nearest point found, its distance from the input,
     which method family produced it, the iteration count, and a nonnegative
     optimality certificate (zero for closed forms) in the units of the kernel
-    that made it. For a point whose x.x overflows, a cone built from atom
-    cones, or a halfspace, projects x / 2^e with 2^e just above max |x_i|
-    (see _project_huge), and the certificate is that of x / 2^e, whose
+    that made it. For a point whose x.x overflows, a spec whose `scales`
+    holds, or a halfspace, projects x / 2^e with 2^e just above max |x_i|
+    (see _project_scaled), and the certificate is that of x / 2^e, whose
     largest entry is in [0.5, 1).
 
     The input itself is returned for certified members: the point is then a
@@ -96,9 +83,6 @@ class ProjectionResult:
     method: str  # closed_form | eigen_clip | dykstra | hull_qp
     iterations: int = 0
     certificate_gap: float = 0.0
-
-
-_METHOD_RANK = {"closed_form": 0, "eigen_clip": 1, "hull_qp": 2, "dykstra": 3}
 
 
 def _norm(v: np.ndarray) -> float:
@@ -125,30 +109,8 @@ def _result(x: np.ndarray, p: np.ndarray, method: str, iters: int = 0, gap: floa
 
 
 # ---------------------------------------------------------------------------
-# Atomic closed forms
+# Closed form
 # ---------------------------------------------------------------------------
-
-
-def _project_soc(x: np.ndarray) -> np.ndarray:
-    y, t = x[:-1], float(x[-1])
-    ny = vec_norm(y)  # project scales a point whose x.x overflows first
-    if ny <= t:
-        return x.copy()
-    if ny <= -t:
-        return np.zeros_like(x)
-    c = ny / 2.0 + t / 2.0  # (ny + t) / 2 bitwise, and finite up to the float max
-    out = np.empty_like(x)
-    out[:-1] = (c / ny) * y
-    out[-1] = c
-    return out
-
-
-def _project_psd(x: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(vec_to_sym(x))
-    if w[0] >= 0.0:
-        # nothing to clip: rebuilding U diag(w) U^T would only add rounding
-        return x.copy()
-    return _embed((U * np.maximum(w, 0.0)) @ U.T)
 
 
 def project_scaled_soc(x: np.ndarray, slope: float) -> np.ndarray:
@@ -304,167 +266,41 @@ def project_conic_generators(generators: np.ndarray, x: np.ndarray):
     return p, lam, gap
 
 
-# hull-point cache for ConicHull specs (sampling can be expensive)
-_HULL_POINTS: "weakref.WeakKeyDictionary[ConicHull, np.ndarray]" = weakref.WeakKeyDictionary()
-
-
-def hull_points(K: ConicHull) -> np.ndarray:
-    pts = _HULL_POINTS.get(K)
-    if pts is None:
-        pts = np.asarray(K.slice_spec.sampler(K.density), dtype=float)
-        _HULL_POINTS[K] = pts
-    return pts
-
-
 # ---------------------------------------------------------------------------
 # project
 # ---------------------------------------------------------------------------
 
 
-def project(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
-    """Euclidean projection of x onto the spec K. Raises ValueError when an
-    entry of x is NaN or infinite, for every spec."""
+def project(K, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionResult:
+    """Euclidean projection of x onto the spec K, by its rule K._project (see
+    cone_algebra.ConeSpec). Raises ValueError when an entry of x is NaN or
+    infinite, for every spec. A finite x whose x.x overflows is projected at
+    x / 2^e when K.scales holds (see _project_scaled); otherwise the rule
+    gets it as it is."""
     x = K._check_point(x)
     # vdot is the ddot of x.dot(x) without its overflow warning for a finite
     # point of norm above about 1.3e154; the entries decide then
     huge = not math.isfinite(np.vdot(x, x))
     if huge and not np.isfinite(x).all():
         raise ValueError("point has a non-finite entry")
-
-    if huge and (isinstance(K, Halfspace) or _scales(K)):
-        return _project_huge(K, x, tol)
-
-    if isinstance(K, GallerySet):
-        if K.project_fn is not None:
-            return K.project_fn(x)
-        raise UnsupportedVariantError(f"gallery object {K.name!r} has no projector")
-
-    if isinstance(K, NonnegativeOrthant):
-        return _result(x, np.maximum(x, 0.0), "closed_form")
-
-    if isinstance(K, Halfspace):
-        v = float(K.normal @ x) - K.offset
-        p = x - max(v, 0.0) * K.normal
-        return _result(x, p, "closed_form")
-
-    if isinstance(K, LinearSubspace):
-        p = (x @ K.basis.T) @ K.basis if K.subspace_dim else np.zeros_like(x)
-        p, gap = _snap_member(x, p, 0.0, vec_norm(x))
-        return _result(x, p, "closed_form", 0, gap)
-
-    if isinstance(K, SecondOrderCone):
-        return _result(x, _project_soc(x), "closed_form")
-
-    if isinstance(K, PsdCone):
-        return _result(x, _project_psd(x), "eigen_clip")
-
-    if isinstance(K, PolyhedralCone):
-        if K.generators is not None:
-            p, lam, gap = project_conic_generators(K.generators, x)
-            return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
-        # inequality representation: Moreau with the dual cone's generators,
-        # proj_K(x) = x + proj_{K*}(-x) for K = {x : Ax >= 0}, K* = cone{A^T}.
-        q, lam, gap = project_conic_generators(K.inequalities, -x)
-        return _result(x, x + q, "hull_qp", int(np.count_nonzero(lam)), gap)
-
-    if isinstance(K, ProductCone):
-        rl = project(K.left, x[: K.left.dim], tol)
-        rr = project(K.right, x[K.left.dim :], tol)
-        method = max(rl.method, rr.method, key=_METHOD_RANK.__getitem__)
-        return ProjectionResult(
-            np.concatenate([rl.point, rr.point]),
-            float(np.hypot(rl.distance, rr.distance)),
-            method,
-            rl.iterations + rr.iterations,
-            rl.certificate_gap + rr.certificate_gap,
-        )
-
-    if isinstance(K, IntersectionCone):
-        return dykstra_intersection(K.parts, x, tol=tol)
-
-    if isinstance(K, LinearImageCone):
-        return _project_linear_image(K, x, tol)
-
-    if isinstance(K, ConicHull):
-        p, lam, gap = project_conic_generators(hull_points(K), x)
-        return _result(x, p, "hull_qp", int(np.count_nonzero(lam)), gap)
-
-    raise UnsupportedVariantError(f"projection not implemented for {type(K).__name__}")
+    if huge and K.scales:
+        return _project_scaled(K, x, math.frexp(float(np.abs(x).max()))[1], tol)
+    return K._project(x, tol)
 
 
-# The atoms that are cones (a Halfspace is one when its offset is 0): their
-# projection commutes with scaling by a power of two, which is exact.
-_ATOM_CONES = (NonnegativeOrthant, Halfspace, LinearSubspace, SecondOrderCone, PsdCone,
-               PolyhedralCone, ConicHull)
-
-
-def _scales(K: ConeSpec) -> bool:
-    """Whether K is an atom cone, or a linear image or intersection of such
-    cones: then its projection commutes with scaling by a power of two."""
-    if isinstance(K, LinearImageCone):
-        return _scales(K.inner)
-    if isinstance(K, IntersectionCone):
-        return all(_scales(part) for part in K.parts)
-    return isinstance(K, _ATOM_CONES) and getattr(K, "is_cone", True)
-
-
-def _project_huge(K: ConeSpec, x: np.ndarray, tol: Tolerance) -> ProjectionResult:
-    """Projection of a finite x whose x.x overflows onto a cone that _scales,
-    or onto a halfspace, whose offset is scaled with the point: the
-    projection of x / 2^e, 2^e just above max |x_i|, scaled back by 2^e, so
-    that no kernel squares a number near the float max. Its certificate gap
-    is that of x / 2^e. Raises ValueError when the projection is past the
-    float range; the distance may be, and is then inf."""
-    e = math.frexp(float(np.abs(x).max()))[1]
-    if isinstance(K, Halfspace) and not K.is_cone:
-        K = Halfspace(K.normal, math.ldexp(K.offset, -e))
+def _project_scaled(K, x: np.ndarray, e: int, tol: Tolerance) -> ProjectionResult:
+    """2^e times the projection of x / 2^e onto K, for a finite x whose x.x
+    overflows and 2^e just above max |x_i|, so that no kernel squares a
+    number near the float max. K is a cone that scales, or a halfspace whose
+    offset the caller scaled with the point. Its certificate gap is that of
+    x / 2^e. Raises ValueError when the projection is past the float range;
+    the distance may be, and is then inf."""
     r = project(K, np.ldexp(x, -e), tol)
     with np.errstate(over="ignore"):
         p = np.ldexp(r.point, e)
     if not np.isfinite(p).all():
         raise ValueError("the projection is past the float range")
     return _result(x, p, r.method, r.iterations, r.certificate_gap, huge=True)
-
-
-def _project_linear_image(K: LinearImageCone, x: np.ndarray, tol: Tolerance) -> ProjectionResult:
-    A = K.matrix
-    if K.orthonormal_columns:
-        # image of the inner cone under an isometry: push down, project, push up
-        u = A.T @ x
-        inner = project(K.inner, u, tol)
-        p, gap = _snap_member(x, A @ inner.point, inner.certificate_gap, vec_norm(x))
-        # distance accounts for the component of x off the column span
-        return _result(x, p, inner.method, inner.iterations, gap)
-    # general full-column-rank map: accelerated projected gradient on
-    # min_z ||A z - x||^2 over z in inner, tagged with the QP family label.
-    # The answer is certified by the KKT gap of the gradient g = A^T (A z - x):
-    # its distance to the inner cone's dual, which is ||P_inner(-g)|| by
-    # Moreau, plus |<g, z>|; the first term is compared in image units.
-    L = float(np.linalg.norm(A, 2) ** 2)
-    z = np.linalg.lstsq(A, x, rcond=None)[0]
-    z = project(K.inner, z, tol).point
-    zp = z.copy()
-    t_acc = 1.0
-    gap = float("inf")
-    max_iter = 5000
-    for it in range(1, max_iter + 1):
-        y = z + ((t_acc - 1) / (t_acc + 2)) * (z - zp)
-        g = A.T @ (A @ y - x)
-        znew = project(K.inner, y - g / L, tol).point
-        zp, z = z, znew
-        t_acc += 1.0
-        if float(np.linalg.norm(z - zp)) <= 1e-12 * max(1.0, float(np.linalg.norm(z))):
-            p = A @ z
-            g = A.T @ (p - x)
-            dual = float(np.linalg.norm(project(K.inner, -g, tol).point))
-            comp = abs(float(g @ z))
-            gap = dual + comp
-            if _kkt_certified(dual / np.sqrt(L), comp, float(np.linalg.norm(x))):
-                break
-    else:
-        raise NonConvergenceError("linear-image projection KKT gap above tolerance", max_iter, gap)
-    p, gap = _snap_member(x, p, gap, vec_norm(x))
-    return _result(x, p, "hull_qp", it, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +319,7 @@ class MoreauSplit:
     residual: float
 
 
-def moreau_decompose(K: ConeSpec, x) -> MoreauSplit:
+def moreau_decompose(K, x) -> MoreauSplit:
     """Split x into its projection onto K and onto the polar cone -K*."""
     x = np.asarray(x, dtype=float)
     p = project(K, x).point

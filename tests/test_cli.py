@@ -139,12 +139,25 @@ class TestSpecParsing:
         assert code == 0
         assert _result(out)["distance"] == 0.0
 
-    def test_unknown_type_lists_known(self, capsys, tmp_path):
+    @pytest.mark.parametrize("kind", ["moebius", ["orthant"]])
+    def test_unknown_type_lists_known(self, capsys, tmp_path, kind):
         p = tmp_path / "odd.json"
-        p.write_text('{"type": "moebius"}\n')
+        p.write_text(json.dumps({"type": kind}))
         code, _, err = _run(capsys, ["project", "--spec", str(p), "--point", "1"])
         assert code == 1
-        assert "orthant" in err and "gallery" in err
+        assert err == (
+            f"error: spec: unknown cone type {kind!r}; known types: orthant, soc, psd, "
+            "polyhedral, halfspace, subspace, product, intersection, linear_image, hull, gallery\n"
+        )
+
+    @pytest.mark.parametrize("parts", [5, {"a": 1}, "orthant"])
+    def test_intersection_parts_must_be_a_list(self, capsys, tmp_path, parts):
+        p = tmp_path / "parts.json"
+        p.write_text(json.dumps({"type": "intersection", "parts": parts}))
+        code, out, err = _run(capsys, ["project", "--spec", str(p), "--point", "1,0"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: spec.parts: an 'intersection' spec needs a list of cone specs")
 
     @pytest.mark.parametrize(
         "spec, where, key",

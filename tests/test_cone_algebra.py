@@ -66,6 +66,37 @@ class TestConstructors:
             "SecondOrderCone",
         ]
 
+    @pytest.mark.parametrize(
+        "normal, offset, x, point",
+        [
+            # the normal's square sum overflows
+            ((1e308, 1e308), 0.0, (1.0, 2.0), (-0.5, 0.5)),
+            ((1e200, 1e200), 3e200, (5.0, 5.0), (1.5, 1.5)),
+            # the normal's square sum underflows to zero
+            ((1e-320, 0.0), 0.0, (1.0, 2.0), (0.0, 2.0)),
+            ((-3e-310, 4e-310), 1e-310, (0.0, 1.0), (0.36, 0.52)),
+        ],
+    )
+    def test_halfspace_normal_of_any_size(self, normal, offset, x, point):
+        # the suite turns warnings into errors: no overflow warning either
+        H = Halfspace(normal, offset)
+        u = np.asarray(normal) / np.abs(normal).max()
+        np.testing.assert_allclose(H.normal, u / np.linalg.norm(u), rtol=1e-15)
+        np.testing.assert_allclose(project(H, x).point, point, rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "normal, offset, match",
+        [
+            ((0.0, 0.0), 0.0, "nonzero"),
+            ((np.inf, 1.0), 0.0, "finite"),
+            ((np.nan, 1.0), 0.0, "finite"),
+            ((1e-320, 0.0), 1.0, "past the float range"),
+        ],
+    )
+    def test_halfspace_bad_normal(self, normal, offset, match):
+        with pytest.raises(ValueError, match=match):
+            Halfspace(normal, offset)
+
     def test_slice_level_positive(self):
         with pytest.raises(ValueError):
             SliceSpec(e=np.ones(2), sampler=lambda n: np.zeros((1, 2)), level=0.0)
@@ -131,6 +162,14 @@ class TestMembership:
         assert membership(X, [2.0, 1.0]).status is Membership.INSIDE
         assert membership(X, [1.0, 1.0]).status is Membership.BOUNDARY
         assert membership(X, [1.0, 2.0]).status is Membership.OUTSIDE
+
+    def test_intersection_outside_distance_unreported(self):
+        # the parts are at distance 1 and 0, the intersection at sqrt(2): the
+        # parts' largest distance is only a lower bound, so none is reported
+        X = IntersectionCone((NonnegativeOrthant(2), Halfspace((1.0, 0.0))))
+        r = membership(X, (1.0, -1.0))
+        assert r.status is Membership.OUTSIDE and r.exact and r.distance is None
+        assert project(X, (1.0, -1.0)).distance == pytest.approx(np.sqrt(2.0), rel=1e-8)
 
     def test_linear_image(self):
         # rotate the orthant by 45 degrees
@@ -301,3 +340,28 @@ class TestSpanDim:
         assert cone_span_dim(_triangle_hull()) == 3
         P = ProductCone(LinearSubspace(np.array([[1.0, 0.0]])), NonnegativeOrthant(1))
         assert cone_span_dim(P) == 2
+
+    @pytest.mark.parametrize(
+        "rows, span",
+        [
+            ([[1.0, 0.0], [-1.0, 0.0]], 1),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]], 1),
+            ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 1.0]], 3),
+            ([[1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 1.0, 0.0]], 2),
+        ],
+    )
+    def test_inequalities_with_implicit_equalities(self, rows, span):
+        assert cone_span_dim(PolyhedralCone(inequalities=np.array(rows))) == span
+
+    def test_full_face_of_a_line_and_its_conjugate(self):
+        from conelab.facial_structure import conjugate_face, full_face
+
+        # K = {x : x_1 >= 0, -x_1 >= 0} is the x_2-axis; K* is the x_1-axis,
+        # and K* meets K's orthogonal complement in all of it
+        K = PolyhedralCone(inequalities=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        F = full_face(K)
+        assert F.face_dim == 1
+        G = conjugate_face(K, F)
+        assert G.face_dim == 1
+        assert G.contains(np.array([1.0, 0.0])) and G.contains(np.array([-2.0, 0.0]))
+        assert not G.contains(np.array([0.0, 1.0]))

@@ -485,7 +485,8 @@ class TestSungTamProbe:
             sung_tam_probe(K, F)
 
     def test_unpointed_cone_rejected(self):
-        K = CA.PolyhedralCone(inequalities=np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        # the halfplane x_1 >= 0: full-dimensional, and it holds the x_2-axis
+        K = CA.PolyhedralCone(inequalities=np.array([[1.0, 0.0]]))
         F = minimal_face(K, np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="not pointed"):
             sung_tam_probe(K, F)
