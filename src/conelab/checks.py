@@ -357,6 +357,7 @@ def _diagonal_psd_face(K: PsdCone) -> FaceHandle:
         exact_projector=projector,
         descriptor={
             "kind": "diagonal",
+            "stacks": ("membership", "exact_projector"),
             "generators": gens,
             "sampler": lambda n, rng: rng.gamma(2.0, 1.0, (n, 2)) @ gens,
         },

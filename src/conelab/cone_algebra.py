@@ -1,10 +1,13 @@
-"""Cone specifications and the membership / projection / dual / slice calculus.
+"""Cone specifications and faces, and the membership / projection / dual / slice calculus.
 
 A ConeSpec is an immutable description of a closed convex cone (or, for a few
 named gallery objects, a compact convex set). Constructors validate shapes.
-Each variant's class holds all of its rules (see ConeSpec); the public
-functions, and projection_engine.project, make one method call. So a new
-variant is one subclass. The kernels the rules call live in projection_engine.
+Each variant's class holds all of its rules (see ConeSpec), face rules
+included; the public functions, projection_engine.project and the calculus of
+facial_structure make one method call. So a new variant is one subclass.
+FaceHandle and the face builders live here too: each builder attaches the
+face's conjugate rule to the handle it returns. The kernels the rules call
+live in projection_engine.
 
 Vector collections are (m, dim) arrays with vectors as rows. Polyhedral data
 follows the same convention: `inequalities` rows a_i describe {x : <a_i, x> >= 0}
@@ -22,13 +25,19 @@ import numpy as np
 
 from .linalg_core import (
     DEFAULT_TOL,
+    AffineSubspace,
     DimensionMismatchError,
     Tolerance,
     _embed,
     _freeze,
     complement_basis,
+    norm_scale,
     orthonormalize,
+    row_dots,
+    row_norms,
+    sym_to_vec,
     sym_vec_dim,
+    unit_sphere_grid,
     vec_norm,
     vec_to_sym,
 )
@@ -36,10 +45,12 @@ from .projection_engine import (
     NonConvergenceError,
     ProjectionResult,
     _kkt_certified,
+    _norm,
     _project_scaled,
     _result,
     _snap_member,
     dykstra_intersection,
+    dykstra_projectors,
     project,
     project_conic_generators,
 )
@@ -115,7 +126,7 @@ def _classify(residual: float, eps: float) -> Membership:
 
 
 def _eps(x: np.ndarray, tol: Tolerance) -> float:
-    return tol.margin(max(1.0, float(np.linalg.norm(x))))
+    return tol.margin(max(1.0, _norm(x)))
 
 
 def _by_least_entry(w: np.ndarray, eps: float) -> MembershipResult:
@@ -164,6 +175,14 @@ def _projected_gaussians(K: ConeSpec, n: int, rng: np.random.Generator) -> np.nd
     return np.vstack([project(K, gi).point for gi in g])
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of norm above 1e-12, each divided by its norm."""
+    rows = np.asarray(rows, dtype=float)
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 1e-12
+    return rows[keep] / norms[keep, None]
+
+
 # ---------------------------------------------------------------------------
 # Specifications
 # ---------------------------------------------------------------------------
@@ -174,10 +193,13 @@ class ConeSpec:
     """Base class for immutable cone descriptions. A variant overrides the
     rules it has: `_project(x, tol)` and `_membership(x, tol)` get a point of
     the right shape (projection_engine.project checks it is finite, too),
-    `dual()`, `sample(n, rng)` and `span_dim()`; the ones here raise.
+    `dual()`, `sample(n, rng)`, `span_dim()`, `_minimal_face(x, eps, tol)`,
+    the face of a member x with x in its relative interior at margin eps, and
+    `_dual_rays(n, seed)`, unit generators of (sampled) extreme rays of the
+    dual; the ones here raise.
     `slice` is a conic hull's SliceSpec; `scales` says that the projection
-    commutes with scaling by a power of two, so project takes a point whose
-    x.x overflows at x / 2^e."""
+    and membership commute with scaling by a power of two, so project and
+    membership take a point whose x.x overflows at x / 2^e."""
 
     slice = None
     scales = False
@@ -206,6 +228,12 @@ class ConeSpec:
 
     def span_dim(self) -> int:
         raise UnsupportedVariantError(f"span dimension unknown for {type(self).__name__}")
+
+    def _minimal_face(self, x: np.ndarray, eps: float, tol: Tolerance) -> FaceHandle:
+        raise UnsupportedVariantError(f"minimal_face not implemented for {type(self).__name__}")
+
+    def _dual_rays(self, n: int, seed: int) -> np.ndarray:
+        raise UnsupportedVariantError(f"no extreme-ray sampler for cone variant {type(self).__name__}")
 
 
 class _SymmetricCone(ConeSpec):
@@ -241,6 +269,12 @@ class NonnegativeOrthant(_SymmetricCone):
 
     def sample(self, n, rng):
         return rng.gamma(1.0, 1.0, size=(n, self.dim))
+
+    def _minimal_face(self, x, eps, tol):
+        return _orthant_face(self, tuple(int(i) for i in np.nonzero(x <= eps)[0]))
+
+    def _dual_rays(self, n, seed):
+        return np.eye(self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,6 +483,40 @@ class PolyhedralCone(ConeSpec):
         ]
         return self.dim - orthonormalize(np.reshape(implicit, (-1, self.dim))).shape[0]
 
+    def _minimal_face(self, x, eps, tol):
+        if self.inequalities is not None:
+            vals = self.inequalities @ x
+            row_scale = np.linalg.norm(self.inequalities, axis=1)
+            active = np.nonzero(vals <= eps * np.maximum(row_scale, 1.0))[0]
+            return _poly_active_face(self, tuple(int(i) for i in active))
+        # generator j is active when x stays in K after a step back along it
+        scale = max(1.0, _norm(x))
+        active = tuple(
+            j for j, g in enumerate(self.generators)
+            if membership(self, x - (0.05 * scale / max(float(np.linalg.norm(g)), 1e-12)) * g, tol).status
+            is not Membership.OUTSIDE
+        )
+        return _poly_generator_face(self, active, x)
+
+    def _dual_rays(self, n, seed):
+        """The unit inequality rows that generate extreme rays of K* =
+        cone{rows}: those whose minimal face in K* is a ray."""
+        if self.inequalities is None:
+            raise UnsupportedVariantError(
+                "extreme rays of the dual of a generator-represented "
+                "polyhedral cone require facet enumeration, which is not "
+                "supported; supply the inequality representation"
+            )
+        dual = dual_cone(self)
+        # each row is a generator of the dual, so it is a member there
+        keep = [
+            row for row in _unit_rows(self.inequalities)
+            if dual._minimal_face(row, _eps(row, DEFAULT_TOL), DEFAULT_TOL).face_dim == 1
+        ]
+        if not keep:
+            raise UnsupportedVariantError("no inequality row generates an extreme ray of the dual")
+        return np.vstack(keep)
+
 
 @dataclass(frozen=True, eq=False)
 class SecondOrderCone(_SymmetricCone):
@@ -492,6 +560,18 @@ class SecondOrderCone(_SymmetricCone):
         t = rng.gamma(2.0, 1.0, size=n)
         return np.column_stack([y * (r * t)[:, None], t])
 
+    def _minimal_face(self, x, eps, tol):
+        t = float(x[-1])
+        if t <= eps:
+            return zero_face(self)
+        if t - _norm(x[:-1]) > eps:
+            return full_face(self)
+        return _soc_ray_face(self, x / _norm(x))
+
+    def _dual_rays(self, n, seed):
+        U = unit_sphere_grid(self.n - 1, n, seed=seed)
+        return np.column_stack([U, np.ones(len(U))]) / np.sqrt(2.0)
+
 
 @dataclass(frozen=True, eq=False)
 class PsdCone(_SymmetricCone):
@@ -525,6 +605,16 @@ class PsdCone(_SymmetricCone):
         a = rng.standard_normal((n, self.n, self.n))
         a = np.where(np.arange(self.n) < ranks[:, None, None], a, 0.0)
         return _embed(a @ a.transpose(0, 2, 1))
+
+    def _minimal_face(self, x, eps, tol):
+        w, U = np.linalg.eigh(vec_to_sym(x))
+        r = int(np.sum(w > tol.margin(max(1.0, float(w[-1])))))
+        return _psd_range_face(self, U[:, self.n - r :]) if r else zero_face(self)
+
+    def _dual_rays(self, n, seed):
+        V = unit_sphere_grid(self.n, n, seed=seed)
+        rows = sym_to_vec(V[:, :, None] * V[:, None, :])
+        return _unit_rows(np.unique(np.round(rows, 12), axis=0))
 
 
 # The method label of a product's projection is that of its factor ranked last.
@@ -582,6 +672,23 @@ class ProductCone(ConeSpec):
     def span_dim(self):
         return cone_span_dim(self.left) + cone_span_dim(self.right)
 
+    def _minimal_face(self, x, eps, tol):
+        # a member's factors are members, each at its own margin
+        xl, xr = self.split(x)
+        return _product_face(
+            self,
+            self.left._minimal_face(xl, _eps(xl, tol), tol),
+            self.right._minimal_face(xr, _eps(xr, tol), tol),
+        )
+
+    def _dual_rays(self, n, seed):
+        left = self.left._dual_rays(n, seed)
+        right = self.right._dual_rays(n, seed + 1)
+        return np.vstack([
+            np.hstack([left, np.zeros((len(left), right.shape[1]))]),
+            np.hstack([np.zeros((len(right), left.shape[1])), right]),
+        ])
+
 
 @dataclass(frozen=True, eq=False)
 class IntersectionCone(ConeSpec):
@@ -638,8 +745,9 @@ class LinearImageCone(ConeSpec):
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def orthonormal_columns(self) -> bool:
+        """Whether A^T A = I to 1e-12, computed once: the matrix is frozen."""
         a = self.matrix
         return bool(np.allclose(a.T @ a, np.eye(a.shape[1]), atol=1e-12))
 
@@ -826,6 +934,265 @@ class GallerySet(ConeSpec):
             return self.extra["span_dim"]
         return super().span_dim()
 
+    def _dual_rays(self, n, seed):
+        rays = self._closure(self.extra.get("dual_rays"), "extreme rays of its dual")
+        return _unit_rows(rays(n))
+
+
+# ---------------------------------------------------------------------------
+# Faces
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FaceHandle:
+    """Immutable handle for a face.
+
+    span_basis rows are an orthonormal basis of the face's linear span (for
+    cone faces) or of the affine hull's direction space (for gallery set
+    faces, which also set affine_basepoint). descriptor holds variant-specific
+    data and the face's own rules: "conjugate_factory" builds the conjugate
+    face, "sampler" draws points of the face, and "stacks" names the
+    closures, "membership" and "exact_projector", that also map a (..., d)
+    stack, each row to exactly what it gets alone (verdicts (...,), points
+    (..., d)).
+
+    membership and exact_projector take one point; contains returns one bool.
+    A point with a non-finite entry is in no face: contains and
+    facial_structure.face_contains answer False for it without calling
+    membership, so membership only ever sees finite points.
+    """
+
+    parent: ConeSpec
+    span_basis: np.ndarray
+    membership: Callable[[np.ndarray, Tolerance], bool]
+    exact_projector: Callable[[np.ndarray], np.ndarray] | None = None
+    descriptor: dict = field(default_factory=dict)
+    affine_basepoint: np.ndarray | None = None
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.span_basis.shape[1] if self.span_basis.size else (
+            self.affine_basepoint.shape[0] if self.affine_basepoint is not None else self.parent.dim
+        )
+
+    @property
+    def face_dim(self) -> int:
+        return self.span_basis.shape[0]
+
+    def affine(self) -> AffineSubspace:
+        base = self.affine_basepoint
+        if base is None:
+            base = np.zeros(self.parent.dim)
+        basis = self.span_basis
+        if basis.size == 0:
+            basis = np.zeros((0, base.shape[0]))
+        return AffineSubspace(base, basis)
+
+    def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
+        x = np.asarray(x, dtype=float)
+        return bool(np.all(np.isfinite(x)) and self.membership(x, tol))
+
+
+# the closed-form faces' membership and projector both map stacks
+_STACKS = ("membership", "exact_projector")
+
+
+def _conjugate(F: FaceHandle) -> FaceHandle:
+    """The conjugate face of F, by the rule its builder attached."""
+    factory = F.descriptor.get("conjugate_factory")
+    if factory is None:
+        raise UnsupportedVariantError(
+            f"conjugate_face not implemented for {F.descriptor.get('kind')!r} of {type(F.parent).__name__}"
+        )
+    return factory()
+
+
+def full_face(K: ConeSpec) -> FaceHandle:
+    """K as a face of itself; the span of a K that is not full-dimensional
+    is that of samples of K."""
+    d = K.dim
+    full_dim = cone_span_dim(K) == d
+    span = np.eye(d) if full_dim else orthonormalize(sample_points(K, 4 * d, np.random.default_rng(11)))
+
+    def conjugate():
+        dual = dual_cone(K)
+        if full_dim:
+            return zero_face(dual)
+        # the dual meets the span's complement in all of it, a face whose
+        # conjugate is the full face of the dual's dual
+        perp = complement_basis(span, d)
+        return _cone_span_face(
+            dual, perp, {"kind": "dual_span_face", "conjugate_factory": lambda: full_face(dual_cone(dual))}
+        )
+
+    return FaceHandle(
+        parent=K,
+        span_basis=span,
+        membership=lambda v, tol=DEFAULT_TOL: membership(K, v, tol).status is not Membership.OUTSIDE,
+        exact_projector=lambda v: project(K, v).point,
+        descriptor={"kind": "full", "conjugate_factory": conjugate},
+    )
+
+
+def zero_face(K: ConeSpec) -> FaceHandle:
+    d = K.dim
+    return FaceHandle(
+        parent=K,
+        span_basis=np.zeros((0, d)),
+        membership=lambda v, tol=DEFAULT_TOL: row_norms(v) <= tol.margin(1.0),
+        exact_projector=lambda v: np.zeros(np.shape(v)),
+        descriptor={"kind": "zero", "stacks": _STACKS, "conjugate_factory": lambda: full_face(dual_cone(K))},
+    )
+
+
+def _orthant_face(K: NonnegativeOrthant, zeros: tuple) -> FaceHandle:
+    d = K.dim
+    support = [i for i in range(d) if i not in set(zeros)]
+    span = np.eye(d)[support] if support else np.zeros((0, d))
+    zset = np.array(sorted(zeros), dtype=int)
+
+    def member(v, tol=DEFAULT_TOL):
+        e = tol.margin(norm_scale(v))[..., None]
+        ok = np.all(v >= -e, axis=-1)
+        if zset.size:
+            ok = ok & np.all(np.abs(v[..., zset]) <= e, axis=-1)
+        return ok
+
+    def proj(v):
+        p = np.maximum(v, 0.0)
+        if zset.size:
+            p[..., zset] = 0.0
+        return p
+
+    if len(zeros) == 0:
+        return full_face(K)
+    return FaceHandle(K, span, member, proj, {
+        "kind": "orthant", "zeros": tuple(sorted(zeros)), "stacks": _STACKS,
+        # the dual orthant's face pinning the support
+        "conjugate_factory": lambda: _orthant_face(dual_cone(K), tuple(support)),
+    })
+
+
+def _soc_ray_face(K: SecondOrderCone, g: np.ndarray) -> FaceHandle:
+    g = g / np.linalg.norm(g)
+
+    def member(v, tol=DEFAULT_TOL):
+        c = row_dots(v, g)
+        e = tol.margin(norm_scale(v))
+        return (c >= -e) & (row_norms(v - c[..., None] * g) <= e)
+
+    def proj(v):
+        # NaN and -0.0 clip to 0.0
+        c = row_dots(v, g)
+        return np.where(c > 0.0, c, 0.0)[..., None] * g
+
+    def conjugate():
+        # the ray through (y, t) has the conjugate ray through (-y, t)
+        h = np.concatenate([-g[:-1], [g[-1]]])
+        return _soc_ray_face(dual_cone(K), h / np.linalg.norm(h))
+
+    return FaceHandle(K, g[None, :].copy(), member, proj, {
+        "kind": "soc_ray", "generator": g.copy(), "stacks": _STACKS, "conjugate_factory": conjugate,
+    })
+
+
+def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
+    """Face {X psd : range(X) inside range(U)} for U with orthonormal columns."""
+    # the outer products u_i u_j^T, i <= j, in the embedding's triangle order
+    i, j = np.triu_indices(U.shape[1])
+    M = U.T[i][:, :, None] * U.T[j][:, None, :]
+    span = orthonormalize(sym_to_vec(M + np.swapaxes(M, -1, -2)))
+
+    def proj(v):
+        # matmul and eigh treat each matrix of a stack as they treat it alone
+        X = vec_to_sym(v)
+        M = U.T @ X @ U
+        w, Q = np.linalg.eigh(M)
+        Mp = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
+        return sym_to_vec(U @ Mp @ U.T)
+
+    def member(v, tol=DEFAULT_TOL):
+        return row_norms(v - proj(v)) <= tol.margin(norm_scale(v))
+
+    def conjugate():
+        # the face of the matrices whose range is orthogonal to range(U)
+        Uperp = complement_basis(U.T, K.n).T
+        dual = dual_cone(K)
+        return _psd_range_face(dual, Uperp) if Uperp.shape[1] else zero_face(dual)
+
+    return FaceHandle(K, span, member, proj, {
+        "kind": "psd_range", "range_basis": U.copy(), "stacks": _STACKS, "conjugate_factory": conjugate,
+    })
+
+
+def _poly_active_face(K: PolyhedralCone, active: tuple) -> FaceHandle:
+    if len(active) == 0:
+        return full_face(K)
+    span = complement_basis(orthonormalize(K.inequalities[list(active)]), K.dim)
+    # the conjugate is the cone of the active rows, as a face of K* = cone{rows}
+    return _cone_span_face(K, span, {
+        "kind": "poly_active", "conjugate_factory": lambda: _poly_generator_face(dual_cone(K), active),
+    })
+
+
+def _cone_span_face(K: ConeSpec, span: np.ndarray, descriptor: dict) -> FaceHandle:
+    """The face of K cut out by the span of the rows of span (for a span that
+    meets K in a face): membership in both, and Dykstra over the pair as the
+    projector."""
+    aff = AffineSubspace(np.zeros(K.dim), span)
+
+    def member(v, tol=DEFAULT_TOL):
+        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
+        inside = membership(K, v, tol).status is not Membership.OUTSIDE
+        return bool(inside and aff.distance(v) <= e)
+
+    def proj(v, _projs=(lambda w: project(K, w).point, aff.project)):
+        return dykstra_projectors(list(_projs), v, tol_change=1e-12).point
+
+    return FaceHandle(K, span, member, proj, descriptor)
+
+
+def _poly_generator_face(K: PolyhedralCone, active: tuple, x: np.ndarray | None = None) -> FaceHandle:
+    G = K.generators
+    GJ = G[list(active)] if active else np.zeros((0, K.dim))
+    spanning = GJ if x is None else np.vstack([GJ, x[None, :]]) if GJ.size else np.atleast_2d(x)
+    span = orthonormalize(spanning) if spanning.size else np.zeros((0, K.dim))
+
+    def proj(v):
+        if GJ.shape[0] == 0:
+            return np.zeros(K.dim)
+        return project_conic_generators(GJ, v)[0]
+
+    def member(v, tol=DEFAULT_TOL):
+        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
+        return bool(np.linalg.norm(v - proj(v)) <= e)
+
+    # the conjugate is the face of the dual {s : G s >= 0} pinning the active rows
+    return FaceHandle(K, span, member, proj, {
+        "kind": "poly_gens", "generators": GJ.copy(),
+        "conjugate_factory": lambda: _poly_active_face(dual_cone(K), active),
+    })
+
+
+def _product_face(K: ProductCone, Fl: FaceHandle, Fr: FaceHandle) -> FaceHandle:
+    dl, kl = K.left.dim, len(Fl.span_basis)
+    span = np.zeros((kl + len(Fr.span_basis), K.dim))
+    span[:kl, :dl] = Fl.span_basis
+    span[kl:, dl:] = Fr.span_basis
+
+    def member(v, tol=DEFAULT_TOL):
+        return bool(Fl.membership(v[:dl], tol) and Fr.membership(v[dl:], tol))
+
+    proj = None
+    if Fl.exact_projector is not None and Fr.exact_projector is not None:
+        proj = lambda v: np.concatenate([Fl.exact_projector(v[:dl]), Fr.exact_projector(v[dl:])])
+
+    return FaceHandle(K, span, member, proj, {
+        "kind": "product", "left": Fl, "right": Fr,
+        "conjugate_factory": lambda: _product_face(dual_cone(K), _conjugate(Fl), _conjugate(Fr)),
+    })
+
 
 # ---------------------------------------------------------------------------
 # Public calculus: one method call each
@@ -839,9 +1206,19 @@ def membership(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult
     polyhedral, and products/intersections of these; conic hulls fall back to
     the sampled projection and are flagged non-exact. The distance of an
     outside point is None where the rule cannot give it: intersections and
-    linear images.
+    linear images. A finite x whose x.x overflows is classified at x / 2^e
+    when K.scales holds.
     """
-    return K._membership(K._check_point(x), tol)
+    x = K._check_point(x)
+    # as project does, the verdict at x / 2^e, 2^e just above max |x_i|, when x.x
+    # overflows (vdot does not warn); a distance past the float range is inf
+    if K.scales and not math.isfinite(np.vdot(x, x)) and np.isfinite(x).all():
+        e = math.frexp(float(np.abs(x).max()))[1]
+        r = K._membership(np.ldexp(x, -e), tol)
+        with np.errstate(over="ignore"):
+            d = None if r.distance is None else float(np.ldexp(r.distance, e))
+        return MembershipResult(r.status, r.exact, d)
+    return K._membership(x, tol)
 
 
 def dual_cone(K: ConeSpec) -> ConeSpec:

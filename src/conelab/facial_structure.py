@@ -6,6 +6,11 @@ linear span, so a FaceHandle stores an orthonormal span basis together with a
 membership rule and, where available, an exact projector. Faces of the compact
 gallery sets reuse the same handle with an affine basepoint.
 
+A variant's face rules live with it in cone_algebra: its _minimal_face, and
+the conjugate rule each face builder there attaches to its handle (FaceHandle
+and the builders are re-exported here). This module holds the calculus that
+works on any handle.
+
 Only the minimisation route of ``dual_sum_membership`` (faces without a
 closed-form rule) needs scipy; it imports ``scipy.optimize.minimize`` on first
 use, so that the rest of the face calculus does not pay for scipy's import (a
@@ -14,39 +19,32 @@ polyhedral cones reach scipy's ``nnls`` through ``projection_engine``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cone_algebra import (
     ConeSpec,
-    GallerySet,
+    FaceHandle,
     Membership,
-    NonnegativeOrthant,
-    PolyhedralCone,
-    ProductCone,
-    PsdCone,
-    SecondOrderCone,
     UnsupportedVariantError,
+    _conjugate,
+    _eps,
     cone_span_dim,
     dual_cone,
+    full_face,
     membership,
     sample_points,
+    zero_face,
 )
 from .linalg_core import (
     DEFAULT_TOL,
-    AffineSubspace,
     Tolerance,
     complement_basis,
-    norm_scale,
     orthonormalize,
-    row_dots,
     row_norms,
-    sym_to_vec,
-    vec_to_sym,
 )
-from .projection_engine import dykstra_projectors, project, project_conic_generators
+from .projection_engine import dykstra_projectors, project
 
 __all__ = [
     "FaceHandle",
@@ -69,81 +67,16 @@ class NotInConeError(ValueError):
     """The point handed to minimal_face lies outside the cone."""
 
 
-@dataclass(frozen=True, eq=False)
-class FaceHandle:
-    """Immutable handle for a face.
-
-    span_basis rows are an orthonormal basis of the face's linear span (for
-    cone faces) or of the affine hull's direction space (for gallery set
-    faces, which also set affine_basepoint). descriptor holds variant-specific
-    data and optional closures used by the probes.
-
-    membership and exact_projector take one point. For the closed-form kinds
-    ("zero", "orthant", "soc_ray", "psd_range", and the "diagonal" face of
-    the projections_dim4 check) the exact projector also maps a (..., d)
-    stack to (..., d), each row to exactly the bits it gets alone. For those
-    five kinds and the gallery's "seam_ray_top", "seam_ray_bottom" and
-    "seam" the membership also maps a (..., d) stack to (...,) verdicts, each
-    row to the verdict it gets alone; face_contains uses it. contains returns
-    one bool.
-    A point with a non-finite entry is in no face: contains and face_contains
-    answer False for it without calling membership, so membership only ever
-    sees finite points.
-    """
-
-    parent: ConeSpec
-    span_basis: np.ndarray
-    membership: Callable[[np.ndarray, Tolerance], bool]
-    exact_projector: Callable[[np.ndarray], np.ndarray] | None = None
-    descriptor: dict = field(default_factory=dict)
-    affine_basepoint: np.ndarray | None = None
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.span_basis.shape[1] if self.span_basis.size else (
-            self.affine_basepoint.shape[0] if self.affine_basepoint is not None else self.parent.dim
-        )
-
-    @property
-    def face_dim(self) -> int:
-        return self.span_basis.shape[0]
-
-    def affine(self) -> AffineSubspace:
-        base = self.affine_basepoint
-        if base is None:
-            base = np.zeros(self.parent.dim)
-        basis = self.span_basis
-        if basis.size == 0:
-            basis = np.zeros((0, base.shape[0]))
-        return AffineSubspace(base, basis)
-
-    def contains(self, x, tol: Tolerance = DEFAULT_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(np.isfinite(x)) and self.membership(x, tol))
-
-
-# Face kinds whose exact projector is closed-form and maps stacks to stacks;
-# "diagonal" is the diagonal PSD(2) face of the projections_dim4 check and
-# "seam_ray_top" and "seam_ray_bottom" the gallery's seam-ray faces.
-_STACKED_KINDS = frozenset(
-    {"zero", "orthant", "soc_ray", "psd_range", "diagonal", "seam_ray_top", "seam_ray_bottom"}
-)
-# Face kinds whose membership maps a stack to one verdict per row.
-_STACKED_MEMBERSHIP = _STACKED_KINDS | {"seam"}
-
-
 def face_contains(F: FaceHandle, X) -> np.ndarray:
     """Membership verdicts for an (n, d) stack of points, one bool per row.
 
-    The stacked kinds of FaceHandle ("zero", "orthant", "soc_ray",
-    "psd_range", "diagonal", "seam_ray_top", "seam_ray_bottom", "seam")
-    decide the whole stack in one membership call on its finite rows; every
-    other kind goes row by row through F.contains. Either way each verdict
-    equals F.contains of that row alone, and a row with a non-finite entry is
-    False.
+    A face whose descriptor lists "membership" under "stacks" decides the
+    whole stack in one membership call on its finite rows; every other face
+    goes row by row through F.contains. Either way each verdict equals
+    F.contains of that row alone, and a row with a non-finite entry is False.
     """
     X = np.asarray(X, dtype=float)
-    if F.descriptor.get("kind") in _STACKED_MEMBERSHIP:
+    if "membership" in F.descriptor.get("stacks", ()):
         finite = np.all(np.isfinite(X), axis=-1)
         out = np.zeros(finite.shape, dtype=bool)
         out[finite] = F.membership(X[finite], DEFAULT_TOL)
@@ -156,14 +89,14 @@ def face_projection(F: FaceHandle, x) -> np.ndarray:
 
     The exact projector is preferred; without one, Dykstra runs over the
     parent cone and the face's span (they intersect in F). A stack goes to
-    the projector in one call for the closed-form kinds of FaceHandle and one
-    row at a time otherwise; either way each row of the result is bitwise the
-    projection of that row alone.
+    the projector in one call when the descriptor lists "exact_projector"
+    under "stacks", and one row at a time otherwise; either way each row of
+    the result is bitwise the projection of that row alone.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return _project_point(F, x)
-    if F.exact_projector is not None and F.descriptor.get("kind") in _STACKED_KINDS:
+    if "exact_projector" in F.descriptor.get("stacks", ()):
         return F.exact_projector(x)
     out = np.empty(x.shape)
     for i, row in enumerate(x):
@@ -192,13 +125,9 @@ def face_samples(F: FaceHandle, n: int, rng: np.random.Generator) -> np.ndarray:
     return face_projection(F, raw)
 
 
-# ---------------------------------------------------------------------------
-# Minimal faces
-# ---------------------------------------------------------------------------
-
-
 def minimal_face(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> FaceHandle:
-    """The unique face of K containing x in its relative interior.
+    """The unique face of K containing x in its relative interior, by K's
+    rule K._minimal_face.
 
     Supported for orthant, second-order, PSD, polyhedral, and products of
     these. Raises NotInConeError when x falls outside K at the tolerance.
@@ -207,267 +136,14 @@ def minimal_face(K: ConeSpec, x, tol: Tolerance = DEFAULT_TOL) -> FaceHandle:
     res = membership(K, x, tol)
     if res.status is Membership.OUTSIDE:
         raise NotInConeError(f"point at distance {res.distance} from the cone")
-    scale = max(1.0, float(np.linalg.norm(x)))
-    eps = tol.margin(scale)
-
-    if isinstance(K, NonnegativeOrthant):
-        zeros = tuple(int(i) for i in np.nonzero(x <= eps)[0])
-        return _orthant_face(K, zeros)
-
-    if isinstance(K, SecondOrderCone):
-        y, t = x[:-1], float(x[-1])
-        ny = float(np.linalg.norm(y))
-        if t <= eps:
-            return zero_face(K)
-        if t - ny > eps:
-            return full_face(K)
-        return _soc_ray_face(K, x / np.linalg.norm(x))
-
-    if isinstance(K, PsdCone):
-        X = vec_to_sym(x)
-        w, U = np.linalg.eigh(X)
-        cutoff = tol.margin(max(1.0, float(w[-1])))
-        r = int(np.sum(w > cutoff))
-        if r == 0:
-            return zero_face(K)
-        return _psd_range_face(K, U[:, K.n - r :])
-
-    if isinstance(K, PolyhedralCone):
-        if K.inequalities is not None:
-            vals = K.inequalities @ x
-            row_scale = np.linalg.norm(K.inequalities, axis=1)
-            active = tuple(int(i) for i in np.nonzero(vals <= eps * np.maximum(row_scale, 1.0))[0])
-            return _poly_active_face(K, active)
-        G = K.generators
-        active = []
-        for j in range(G.shape[0]):
-            gj = G[j]
-            mu = 0.05 * max(scale, 1.0) / max(float(np.linalg.norm(gj)), 1e-12)
-            if membership(K, x - mu * gj, tol).status is not Membership.OUTSIDE:
-                active.append(j)
-        return _poly_generator_face(K, tuple(active), x)
-
-    if isinstance(K, ProductCone):
-        Fl = minimal_face(K.left, x[: K.left.dim], tol)
-        Fr = minimal_face(K.right, x[K.left.dim :], tol)
-        return _product_face(K, Fl, Fr)
-
-    raise UnsupportedVariantError(f"minimal_face not implemented for {type(K).__name__}")
-
-
-def full_face(K: ConeSpec) -> FaceHandle:
-    """K as a face of itself."""
-    d = K.dim
-    span = np.eye(d)
-    if cone_span_dim(K) < d:
-        from .cone_algebra import LinearSubspace
-
-        if isinstance(K, LinearSubspace):
-            span = K.basis
-        else:
-            rng = np.random.default_rng(11)
-            span = orthonormalize(sample_points(K, 4 * d, rng))
-    return FaceHandle(
-        parent=K,
-        span_basis=span,
-        membership=lambda v, tol=DEFAULT_TOL: membership(K, v, tol).status is not Membership.OUTSIDE,
-        exact_projector=lambda v: project(K, v).point,
-        descriptor={"kind": "full"},
-    )
-
-
-def zero_face(K: ConeSpec) -> FaceHandle:
-    d = K.dim
-    return FaceHandle(
-        parent=K,
-        span_basis=np.zeros((0, d)),
-        membership=lambda v, tol=DEFAULT_TOL: row_norms(v) <= tol.margin(1.0),
-        exact_projector=lambda v: np.zeros(np.shape(v)),
-        descriptor={"kind": "zero"},
-    )
-
-
-def _orthant_face(K: NonnegativeOrthant, zeros: tuple) -> FaceHandle:
-    d = K.dim
-    support = [i for i in range(d) if i not in set(zeros)]
-    span = np.eye(d)[support] if support else np.zeros((0, d))
-    zset = np.array(sorted(zeros), dtype=int)
-
-    def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(norm_scale(v))[..., None]
-        ok = np.all(v >= -e, axis=-1)
-        if zset.size:
-            ok = ok & np.all(np.abs(v[..., zset]) <= e, axis=-1)
-        return ok
-
-    def proj(v):
-        p = np.maximum(v, 0.0)
-        if zset.size:
-            p[..., zset] = 0.0
-        return p
-
-    if len(zeros) == 0:
-        return full_face(K)
-    return FaceHandle(K, span, member, proj, {"kind": "orthant", "zeros": tuple(sorted(zeros))})
-
-
-def _soc_ray_face(K: SecondOrderCone, g: np.ndarray) -> FaceHandle:
-    g = g / np.linalg.norm(g)
-
-    def member(v, tol=DEFAULT_TOL):
-        c = row_dots(v, g)
-        e = tol.margin(norm_scale(v))
-        return (c >= -e) & (row_norms(v - c[..., None] * g) <= e)
-
-    def proj(v):
-        # NaN and -0.0 clip to 0.0
-        c = row_dots(v, g)
-        return np.where(c > 0.0, c, 0.0)[..., None] * g
-
-    return FaceHandle(K, g[None, :].copy(), member, proj, {"kind": "soc_ray", "generator": g.copy()})
-
-
-def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
-    """Face {X psd : range(X) inside range(U)} for U with orthonormal columns."""
-    # the outer products u_i u_j^T, i <= j, in the embedding's triangle order
-    i, j = np.triu_indices(U.shape[1])
-    M = U.T[i][:, :, None] * U.T[j][:, None, :]
-    span = orthonormalize(sym_to_vec(M + np.swapaxes(M, -1, -2)))
-
-    def proj(v):
-        # matmul and eigh treat each matrix of a stack as they treat it alone
-        X = vec_to_sym(v)
-        M = U.T @ X @ U
-        w, Q = np.linalg.eigh(M)
-        Mp = (Q * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(Q, -1, -2)
-        return sym_to_vec(U @ Mp @ U.T)
-
-    def member(v, tol=DEFAULT_TOL):
-        return row_norms(v - proj(v)) <= tol.margin(norm_scale(v))
-
-    return FaceHandle(K, span, member, proj, {"kind": "psd_range", "range_basis": U.copy()})
-
-
-def _poly_active_face(K: PolyhedralCone, active: tuple) -> FaceHandle:
-    if len(active) == 0:
-        return full_face(K)
-    span = complement_basis(orthonormalize(K.inequalities[list(active)]), K.dim)
-    return _cone_span_face(K, span, {"kind": "poly_active", "active": tuple(active)})
-
-
-def _cone_span_face(K: ConeSpec, span: np.ndarray, descriptor: dict) -> FaceHandle:
-    """The face of K cut out by the span of the rows of span (for a span that
-    meets K in a face): membership in both, and Dykstra over the pair as the
-    projector."""
-    aff = AffineSubspace(np.zeros(K.dim), span)
-
-    def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        inside = membership(K, v, tol).status is not Membership.OUTSIDE
-        return bool(inside and aff.distance(v) <= e)
-
-    def proj(v, _projs=(lambda w: project(K, w).point, aff.project)):
-        return dykstra_projectors(list(_projs), v, tol_change=1e-12).point
-
-    return FaceHandle(K, span, member, proj, descriptor)
-
-
-def _poly_generator_face(K: PolyhedralCone, active: tuple, x: np.ndarray | None = None) -> FaceHandle:
-    G = K.generators
-    GJ = G[list(active)] if active else np.zeros((0, K.dim))
-    spanning = GJ if x is None else np.vstack([GJ, x[None, :]]) if GJ.size else np.atleast_2d(x)
-    span = orthonormalize(spanning) if spanning.size else np.zeros((0, K.dim))
-
-    def proj(v):
-        if GJ.shape[0] == 0:
-            return np.zeros(K.dim)
-        return project_conic_generators(GJ, v)[0]
-
-    def member(v, tol=DEFAULT_TOL):
-        e = tol.margin(max(1.0, float(np.linalg.norm(v))))
-        return bool(np.linalg.norm(v - proj(v)) <= e)
-
-    return FaceHandle(
-        K, span, member, proj, {"kind": "poly_gens", "active": tuple(active), "generators": GJ.copy()}
-    )
-
-
-def _product_face(K: ProductCone, Fl: FaceHandle, Fr: FaceHandle) -> FaceHandle:
-    dl, kl = K.left.dim, len(Fl.span_basis)
-    span = np.zeros((kl + len(Fr.span_basis), K.dim))
-    span[:kl, :dl] = Fl.span_basis
-    span[kl:, dl:] = Fr.span_basis
-
-    def member(v, tol=DEFAULT_TOL):
-        return bool(Fl.membership(v[:dl], tol) and Fr.membership(v[dl:], tol))
-
-    proj = None
-    if Fl.exact_projector is not None and Fr.exact_projector is not None:
-        proj = lambda v: np.concatenate([Fl.exact_projector(v[:dl]), Fr.exact_projector(v[dl:])])
-
-    return FaceHandle(K, span, member, proj, {"kind": "product", "left": Fl, "right": Fr})
-
-
-# ---------------------------------------------------------------------------
-# Conjugate faces
-# ---------------------------------------------------------------------------
+    return K._minimal_face(x, _eps(x, tol), tol)
 
 
 def conjugate_face(K: ConeSpec, F: FaceHandle, tol: Tolerance = DEFAULT_TOL) -> FaceHandle:
-    """The conjugate face: the dual cone intersected with the face's
-    orthogonal complement. Exact for the supported variants; gallery faces
-    supply their own factory."""
-    factory = F.descriptor.get("conjugate_factory")
-    if factory is not None:
-        return factory()
-
-    kind = F.descriptor.get("kind")
-    dual = dual_cone(K)
-
-    if kind == "full":
-        if cone_span_dim(K) == K.dim:
-            return zero_face(dual)
-        # the dual meets the span's complement in all of it
-        perp = complement_basis(F.span_basis, K.dim)
-        return _cone_span_face(dual, perp, {"kind": "dual_span_face"})
-    if kind in ("zero", "dual_span_face"):
-        # a "dual_span_face" is all of span(K*)'s complement, whose conjugate
-        # is the full face of K* = dual
-        return full_face(dual)
-
-    if isinstance(K, NonnegativeOrthant) and kind == "orthant":
-        zeros = set(F.descriptor["zeros"])
-        support = tuple(i for i in range(K.dim) if i not in zeros)
-        return _orthant_face(dual, support)
-
-    if isinstance(K, SecondOrderCone) and kind == "soc_ray":
-        g = F.descriptor["generator"]
-        h = np.concatenate([-g[:-1], [g[-1]]])
-        return _soc_ray_face(dual, h / np.linalg.norm(h))
-
-    if isinstance(K, PsdCone) and kind == "psd_range":
-        U = F.descriptor["range_basis"]
-        # orthonormal complement of the range
-        Uperp = complement_basis(U.T, K.n).T
-        if Uperp.shape[1] == 0:
-            return zero_face(dual)
-        return _psd_range_face(dual, Uperp)
-
-    if isinstance(K, PolyhedralCone) and kind == "poly_active":
-        # conjugate of the minimal face with active set J is the cone of the
-        # active inequality rows, as a face of the dual cone(A rows)
-        return _poly_generator_face(dual, F.descriptor["active"])
-
-    if isinstance(K, PolyhedralCone) and kind == "poly_gens":
-        # dual cone is {s : G s >= 0}; the conjugate face pins the active rows
-        return _poly_active_face(dual, F.descriptor["active"])
-
-    if isinstance(K, ProductCone) and kind == "product":
-        Fl = conjugate_face(K.left, F.descriptor["left"], tol)
-        Fr = conjugate_face(K.right, F.descriptor["right"], tol)
-        return _product_face(dual, Fl, Fr)
-
-    raise UnsupportedVariantError(f"conjugate_face not implemented for {kind!r} of {type(K).__name__}")
+    """The conjugate face, the dual cone meeting the face's orthogonal
+    complement, by the rule F's builder attached (descriptor["conjugate_factory"]).
+    Raises UnsupportedVariantError for a face without one."""
+    return _conjugate(F)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +212,12 @@ def is_exposed(
     """
     rng = np.random.default_rng(seed)
 
-    if isinstance(K, GallerySet) and not K.is_cone:
+    # a face with an affine basepoint is a face of a compact gallery set
+    if F.affine_basepoint is not None:
         return _is_exposed_set(K, F, n_samples, rng)
 
     # improper face: exposed by the zero functional
-    if F.descriptor.get("kind") == "full" or F.face_dim == cone_span_dim(K):
+    if F.face_dim == cone_span_dim(K):
         return ExposednessResult("exposed", np.zeros(K.dim), 0.0, 0.0, None)
 
     try:
@@ -587,7 +264,7 @@ def is_exposed(
     return ExposednessResult("undecided", witness, 0.0, 0.0, None)
 
 
-def _is_exposed_set(K: GallerySet, F: FaceHandle, n_samples: int, rng) -> ExposednessResult:
+def _is_exposed_set(K: ConeSpec, F: FaceHandle, n_samples: int, rng) -> ExposednessResult:
     cloud_fn = K.extra.get("dense_samples")
     samples = cloud_fn() if cloud_fn is not None else sample_points(K, n_samples, rng)
 
@@ -627,7 +304,7 @@ def _is_exposed_set(K: GallerySet, F: FaceHandle, n_samples: int, rng) -> Expose
     return ExposednessResult("undecided", None, 0.0, 0.0, None)
 
 
-def _hull_face_handle(K: GallerySet, basepoint: np.ndarray, pts: np.ndarray) -> FaceHandle:
+def _hull_face_handle(K: ConeSpec, basepoint: np.ndarray, pts: np.ndarray) -> FaceHandle:
     from .projection_engine import project_hull
 
     dirs = orthonormalize(pts - basepoint)

@@ -993,6 +993,7 @@ def seam_face(K_tilde: GallerySet) -> FaceHandle:
         exact_projector=projector,
         descriptor={
             "kind": "seam",
+            "stacks": ("membership",),
             "generators": np.vstack([gen_top, gen_bottom]),
             "witness": np.array([-1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0),
             "sampler": sampler,
@@ -1084,6 +1085,7 @@ def seam_ray_faces(K_tilde: GallerySet) -> tuple:
                 exact_projector=projector,
                 descriptor={
                     "kind": kind,
+                    "stacks": ("membership", "exact_projector"),
                     "generators": gen[None, :],
                     "witness": witness,
                     "sampler": sampler,

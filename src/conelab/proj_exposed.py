@@ -40,13 +40,7 @@ import numpy as np
 from .amenability_probe import ErrorBoundEstimate, estimate_kappa
 from .cone_algebra import (
     ConeSpec,
-    GallerySet,
     Membership,
-    NonnegativeOrthant,
-    PolyhedralCone,
-    ProductCone,
-    PsdCone,
-    SecondOrderCone,
     UnsupportedVariantError,
     dual_cone,
     membership,
@@ -62,7 +56,7 @@ from .facial_structure import (
     is_exposed,
     minimal_face,
 )
-from .linalg_core import BoundedRegion, row_norms, sym_to_vec, unit_sphere_grid
+from .linalg_core import BoundedRegion, row_norms
 from .projection_engine import (
     NonConvergenceError,
     dykstra_projectors,
@@ -407,15 +401,9 @@ def build_rank_two_projection(
 # ---------------------------------------------------------------------------
 
 
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.asarray(rows, dtype=float)
-    norms = np.linalg.norm(rows, axis=1)
-    keep = norms > 1e-12
-    return rows[keep] / norms[keep, None]
-
-
 def extreme_ray_samples(K: ConeSpec, n: int, seed: int = 0) -> np.ndarray:
-    """Unit generators of (sampled) extreme rays of the dual cone K*.
+    """Unit generators of (sampled) extreme rays of the dual cone K*, by K's
+    rule K._dual_rays.
 
     Closed-form parameterizations are used where available (gallery sets
     carry their own; orthants and second-order / semidefinite atoms have
@@ -424,53 +412,7 @@ def extreme_ray_samples(K: ConeSpec, n: int, seed: int = 0) -> np.ndarray:
     its minimal face in the dual is one-dimensional, which is exactly the
     perturbation test for extremeness.
     """
-    if isinstance(K, GallerySet):
-        fn = (K.extra or {}).get("dual_rays")
-        if fn is None:
-            raise UnsupportedVariantError(
-                f"gallery set {K.name!r} does not provide extreme rays of its dual"
-            )
-        return _unit_rows(np.asarray(fn(n), dtype=float))
-    if isinstance(K, NonnegativeOrthant):
-        return np.eye(K.n)
-    if isinstance(K, SecondOrderCone):
-        if K.n == 1:
-            return np.array([[1.0]])
-        U = unit_sphere_grid(K.n - 1, n, seed=seed)
-        rays = np.column_stack([U, np.ones(len(U))]) / np.sqrt(2.0)
-        return rays
-    if isinstance(K, PsdCone):
-        if K.n == 1:
-            return np.array([[1.0]])
-        V = unit_sphere_grid(K.n, n, seed=seed)
-        rows = sym_to_vec(V[:, :, None] * V[:, None, :])
-        return _unit_rows(np.unique(np.round(rows, 12), axis=0))
-    if isinstance(K, PolyhedralCone):
-        if K.inequalities is None:
-            raise UnsupportedVariantError(
-                "extreme rays of the dual of a generator-represented "
-                "polyhedral cone require facet enumeration, which is not "
-                "supported; supply the inequality representation"
-            )
-        dual = dual_cone(K)
-        rows = _unit_rows(np.asarray(K.inequalities, dtype=float))
-        keep = [row for row in rows if minimal_face(dual, row).face_dim == 1]
-        if not keep:
-            raise UnsupportedVariantError(
-                "no inequality row generates an extreme ray of the dual"
-            )
-        return np.vstack(keep)
-    if isinstance(K, ProductCone):
-        left = extreme_ray_samples(K.left, n, seed=seed)
-        right = extreme_ray_samples(K.right, n, seed=seed + 1)
-        dl = left.shape[1]
-        dr = right.shape[1]
-        top = np.hstack([left, np.zeros((len(left), dr))])
-        bottom = np.hstack([np.zeros((len(right), dl)), right])
-        return np.vstack([top, bottom])
-    raise UnsupportedVariantError(
-        f"no extreme-ray sampler for cone variant {type(K).__name__}"
-    )
+    return K._dual_rays(n, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,59 @@ class TestMembership:
         assert get_slice(bare) is None
 
 
+class TestHugePointMembership:
+    """x.x overflows for these points: membership classifies x / 2^e, and
+    the warnings-as-errors setting of the suite would fail on an overflow."""
+
+    @pytest.mark.parametrize(
+        "K, x, distance",
+        [
+            (NonnegativeOrthant(2), [1e200, -1e200], 1e200),
+            (SecondOrderCone(3), [1e200, 1e200, 1e200], (np.sqrt(2.0) - 1.0) * 1e200 / np.sqrt(2.0)),
+            (PsdCone(2), sym_to_vec(np.diag([1e200, -1e200])), 1e200),
+        ],
+    )
+    def test_outside_point_is_outside(self, K, x, distance):
+        from conelab.facial_structure import NotInConeError, minimal_face
+
+        r = membership(K, x)
+        assert r.status is Membership.OUTSIDE
+        assert r.distance == pytest.approx(distance, rel=1e-12)
+        with pytest.raises(NotInConeError):
+            minimal_face(K, x)
+
+    def test_member_keeps_its_verdict_and_face(self):
+        from conelab.facial_structure import minimal_face
+
+        K = NonnegativeOrthant(3)
+        assert membership(K, [1e200, 3e200, 2e200]).status is Membership.INSIDE
+        assert membership(K, [1e200, 0.0, 2e200]).status is Membership.BOUNDARY
+        assert minimal_face(K, [1e200, 0.0, 2e200]).descriptor["zeros"] == (1,)
+        K = SecondOrderCone(3)
+        assert minimal_face(K, [1e200, 0.0, 2e200]).descriptor["kind"] == "full"
+        ray = minimal_face(K, [1e200, 0.0, 1e200])
+        np.testing.assert_allclose(ray.span_basis, [[np.sqrt(0.5), 0.0, np.sqrt(0.5)]], rtol=1e-15)
+
+    def test_far_distance_past_the_float_range_is_inf(self):
+        r = membership(NonnegativeOrthant(2), [-1.5e308, -1.5e308])
+        assert r.status is Membership.OUTSIDE and r.distance == np.inf
+
+
+class TestLinearImageOrthonormalFlag:
+    def test_computed_once_and_projections_unchanged(self, monkeypatch):
+        A = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]
+        K = LinearImageCone(matrix=A, inner=NonnegativeOrthant(3))
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        X = np.random.default_rng(1).standard_normal((5, 6))
+        for x in X:
+            # the isometry route: push down, clip, push up
+            assert project(K, x).point.tobytes() == (A @ np.maximum(A.T @ x, 0.0)).tobytes()
+        assert len(calls) == 1
+        assert not LinearImageCone(matrix=2.0 * A, inner=NonnegativeOrthant(3)).orthonormal_columns
+
+
 class TestDualCone:
     def test_self_duals(self):
         for K in (NonnegativeOrthant(3), SecondOrderCone(4), PsdCone(2)):

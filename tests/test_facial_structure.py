@@ -357,6 +357,21 @@ class TestStackedMembership:
             F = _stack_face(kind, 5)
             assert type(F.contains(face_samples(F, 1, np.random.default_rng(0))[0])) is bool
 
+    def test_each_builder_declares_its_stacked_closures(self):
+        from conelab.checks import _diagonal_psd_face
+
+        both, member_only = ("membership", "exact_projector"), ("membership",)
+        faces = {kind: _stack_face(kind, 0) for kind in [*_MEMBER_KINDS, "poly_gens"]}
+        faces["diagonal"] = _diagonal_psd_face(PsdCone(2))
+        K = ProductCone(NonnegativeOrthant(2), SecondOrderCone(3))
+        faces["product"] = minimal_face(K, [1.0, 0.0, 0.0, 0.0, 1.0])
+        faces["full"] = full_face(NonnegativeOrthant(2))
+        # the seam's projector is a generator solve on one point
+        expected = dict.fromkeys(faces, ())
+        expected.update(dict.fromkeys(["zero", "orthant", "soc_ray", "psd_range", *_SEAM_RAYS, "diagonal"], both))
+        expected["seam"] = member_only
+        assert {k: F.descriptor.get("stacks", ()) for k, F in faces.items()} == expected
+
 
 # face inputs of the double-conjugate test, with the projections of their
 # conjugate faces pinned in test_polyhedral_conjugates_are_pinned
@@ -499,15 +514,14 @@ class TestExposedness:
         def conj_member(v, tol=None):
             return abs(v[0]) <= 1e-9 and abs(v[1]) <= 1e-9 and v[2] >= -1e-9
 
+        # the dual's face {x1 = x2 = 0}, with its builder's conjugate rule,
+        # and a zero sampler that leaves no witness for the ray
+        base = minimal_face(dual, [0.0, 0.0, 1.0])
         conj = FaceHandle(
             dual,
-            np.array([[0.0, 0.0, 1.0]]),
+            base.span_basis,
             conj_member,
-            descriptor={
-                "kind": "orthant",
-                "zeros": (0, 1),
-                "sampler": lambda n, rng: np.zeros((n, 3)),
-            },
+            descriptor={**base.descriptor, "sampler": lambda n, rng: np.zeros((n, 3))},
         )
         F = FaceHandle(
             K, g[None, :], ray_member, descriptor={"conjugate_factory": lambda: conj}

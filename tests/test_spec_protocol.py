@@ -1,5 +1,6 @@
-"""The spec protocol: a cone variant is one ConeSpec subclass, and the public
-functions dispatch by one method call, never by the spec's type."""
+"""The spec protocol: a cone variant is one ConeSpec subclass, its face rules
+included, and the public functions dispatch by one method call, never by the
+spec's type."""
 import ast
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +20,16 @@ from conelab.cone_algebra import (
     membership,
     sample_points,
 )
+from conelab.facial_structure import (
+    NotInConeError,
+    conjugate_face,
+    full_face,
+    is_exposed,
+    minimal_face,
+    zero_face,
+)
 from conelab.linalg_core import DimensionMismatchError
+from conelab.proj_exposed import extreme_ray_samples
 from conelab.projection_engine import ProjectionResult, moreau_decompose, project
 
 SRC = Path(cone_algebra.__file__).resolve().parent
@@ -61,6 +71,15 @@ class RayCone(ConeSpec):
 
     def span_dim(self):
         return 1
+
+    def _minimal_face(self, x, eps, tol):
+        # a ray has two faces: {0} and itself
+        return zero_face(self) if float(self.g @ x) <= eps else full_face(self)
+
+    def _dual_rays(self, n, seed):
+        # K* is the halfspace {s : <g, s> >= 0}: the ray through g in one
+        # dimension, a set holding a line, so with no extreme ray, in more
+        return self.g[None, :] if self.dim == 1 else np.zeros((0, self.dim))
 
 
 class TestToyVariant:
@@ -105,6 +124,33 @@ class TestToyVariant:
         assert all(membership(self.K, p).in_set for p in pts)
         assert cone_span_dim(self.K) == 1
         assert get_slice(self.K) is None
+
+
+class TestToyVariantFaces:
+    K = RayCone(np.array([2.0, 0.0]))
+
+    def test_minimal_face(self):
+        F = minimal_face(self.K, [3.0, 0.0])
+        assert F.face_dim == 1 and F.contains([5.0, 0.0]) and not F.contains([-1.0, 0.0])
+        assert minimal_face(self.K, [0.0, 0.0]).face_dim == 0
+        with pytest.raises(NotInConeError):
+            minimal_face(self.K, [0.0, 1.0])
+
+    def test_conjugate_faces(self):
+        # the ray's conjugate is K* meeting its complement, the x2-axis;
+        # the conjugate of {0} is all of K*, the halfplane x1 >= 0
+        G = conjugate_face(self.K, minimal_face(self.K, [3.0, 0.0]))
+        assert G.face_dim == 1 and G.contains([0.0, -2.0]) and not G.contains([1.0, 0.0])
+        H = conjugate_face(self.K, minimal_face(self.K, [0.0, 0.0]))
+        assert H.face_dim == 2 and H.contains([1.0, 5.0]) and not H.contains([-1.0, 0.0])
+
+    def test_faces_are_exposed(self):
+        for x in ([3.0, 0.0], [0.0, 0.0]):
+            assert is_exposed(self.K, minimal_face(self.K, x)).status == "exposed"
+
+    def test_extreme_ray_samples(self):
+        assert extreme_ray_samples(RayCone(np.array([-2.0])), 8).tolist() == [[-1.0]]
+        assert extreme_ray_samples(self.K, 8).shape == (0, 2)
 
 
 def _spec_names() -> set:
@@ -174,6 +220,18 @@ def test_cone_algebra_functions_dispatch_by_method():
         if isinstance(node, ast.ImportFrom) and node.module == "projection_engine"
     ]
     assert local == []
+    # the face builders live here too, so nothing comes back from the calculus
+    assert not any(
+        isinstance(node, ast.ImportFrom) and node.module == "facial_structure"
+        for node in ast.walk(module)
+    )
+
+
+@pytest.mark.parametrize("name", ["facial_structure.py", "proj_exposed.py"])
+def test_face_calculus_knows_no_spec_class(name):
+    # the face rules are spec methods and face-handle closures
+    module = _parse(name)
+    assert _isinstance_on_specs([module], module, _spec_names()) == []
 
 
 def test_guard_sees_a_dispatch_chain():
