@@ -129,6 +129,17 @@ def _eps(x: np.ndarray, tol: Tolerance) -> float:
     return tol.margin(max(1.0, _norm(x)))
 
 
+def _unsquared(v) -> np.ndarray:
+    """v as floats, each finite row with an entry past 2^500 scaled by 2^-e to
+    below 1 (a face of a cone holds x iff it holds 2^-e x); v if v.v is finite."""
+    v = np.asarray(v, dtype=float)
+    if math.isfinite(np.vdot(v, v)):
+        return v
+    top = np.abs(v).max(axis=-1)
+    big = (top >= 2.0**500) & (top < math.inf)
+    return np.ldexp(v, -np.where(big, np.frexp(top)[1], 0)[..., None])
+
+
 def _by_least_entry(w: np.ndarray, eps: float) -> MembershipResult:
     """Exact membership in the orthant of the vector w (a point, or a
     matrix's eigenvalues): its distance is the norm of w's negative part."""
@@ -1078,6 +1089,7 @@ def _soc_ray_face(K: SecondOrderCone, g: np.ndarray) -> FaceHandle:
     g = g / np.linalg.norm(g)
 
     def member(v, tol=DEFAULT_TOL):
+        v = _unsquared(v)
         c = row_dots(v, g)
         e = tol.margin(norm_scale(v))
         return (c >= -e) & (row_norms(v - c[..., None] * g) <= e)
@@ -1143,6 +1155,7 @@ def _cone_span_face(K: ConeSpec, span: np.ndarray, descriptor: dict) -> FaceHand
     aff = AffineSubspace(np.zeros(K.dim), span)
 
     def member(v, tol=DEFAULT_TOL):
+        v = _unsquared(v)
         e = tol.margin(max(1.0, float(np.linalg.norm(v))))
         inside = membership(K, v, tol).status is not Membership.OUTSIDE
         return bool(inside and aff.distance(v) <= e)
@@ -1165,6 +1178,7 @@ def _poly_generator_face(K: PolyhedralCone, active: tuple, x: np.ndarray | None 
         return project_conic_generators(GJ, v)[0]
 
     def member(v, tol=DEFAULT_TOL):
+        v = _unsquared(v)
         e = tol.margin(max(1.0, float(np.linalg.norm(v))))
         return bool(np.linalg.norm(v - proj(v)) <= e)
 

@@ -13,9 +13,9 @@ works on any handle.
 
 Only the minimisation route of ``dual_sum_membership`` (faces without a
 closed-form rule) needs scipy; it imports ``scipy.optimize.minimize`` on first
-use, so that the rest of the face calculus does not pay for scipy's import (a
-few tenths of a second and about 40 MB per process). Faces of generated
-polyhedral cones reach scipy's ``nnls`` through ``projection_engine``.
+use, so that the rest of the face calculus, the faces of generated polyhedral
+cones among it, does not pay for scipy's import (a few tenths of a second and
+about 45 MB per process).
 """
 from __future__ import annotations
 

@@ -30,13 +30,11 @@ each with its named faces: ``nice_not_amenable_C`` (``disk_top``,
 ``cylinder_K_tilde`` (``lifted_disk``, ``seam``, ``seam_ray_top``,
 ``seam_ray_bottom``) and ``sturm_slice`` (``sturm``).
 
-Of this module's own code only the exposing normals need scipy:
-``exposing_normal_u`` (and what calls it, such as ``exposing_normal`` and the
-circles' singleton faces) imports ``scipy.optimize.minimize_scalar`` on first
-use, so that the probes and closed forms, which run on numpy alone, do not
-pay for scipy's import (a few tenths of a second and about 40 MB per process).
-Projections onto the conic hulls reach scipy's ``nnls`` through
-``projection_engine``.
+Only the exposing normals need scipy: ``exposing_normal_u`` (and what calls
+it, such as ``exposing_normal`` and the circles' singleton faces) imports
+``scipy.optimize.minimize_scalar`` on first use, so that the probes, the closed
+forms and the projections onto the conic hulls, which run on numpy alone, do
+not pay for scipy's import (a few tenths of a second and about 45 MB).
 """
 from __future__ import annotations
 
@@ -59,6 +57,7 @@ from .facial_structure import DualSumResult, FaceHandle
 from .linalg_core import DEFAULT_TOL, Tolerance, norm_scale, orthonormalize, row_dots, row_norms
 from .projection_engine import (
     ProjectionResult,
+    _norm,
     dykstra_projectors,
     project_conic_generators,
     project_hull,
@@ -476,9 +475,13 @@ def body(density: int = 2048) -> GallerySet:
     )
 
 
+@lru_cache(maxsize=8)
 def _lifted_cloud(density: int):
+    """curve_cloud(density) with a 1 appended to each row, and its tags; read-only."""
     pts, tags = curve_cloud(density)
-    return np.column_stack([pts, np.ones(pts.shape[0])]), tags
+    lifted = np.column_stack([pts, np.ones(pts.shape[0])])
+    lifted.flags.writeable = tags.flags.writeable = False
+    return lifted, tags
 
 
 @lru_cache(maxsize=8)
@@ -513,9 +516,7 @@ def conic_hull_of_body(density: int = 2048) -> GallerySet:
         )
         gens = np.column_stack([pts, np.ones(pts.shape[0])])
         p, lam, gap = project_conic_generators(gens, x)
-        return ProjectionResult(
-            p, float(np.linalg.norm(x - p)), "hull_qp", int(np.count_nonzero(lam)), gap
-        )
+        return ProjectionResult(p, _norm(x - p), "hull_qp", int(np.count_nonzero(lam)), gap)
 
     return GallerySet(
         name="nice_not_amenable_K",

@@ -4,27 +4,19 @@ spec's projection rule.
 Each cone variant's projection rule is its `_project` method, in its class in
 cone_algebra; `project` checks the point and calls it. This module knows no
 spec class. It holds what the rules call: the scaled second-order cone's closed
-form, Dykstra's alternating scheme for intersections, and two exact
-active-set solves for finite projections: finitely generated cones go through
-Lawson-Hanson nonnegative least squares (scipy's `nnls`, grown from a screened
-working set of generators when there are many), and hulls of point clouds
-through Wolfe's minimum-norm-point method. Both finite kernels either return
-an answer whose optimality certificate is within tolerance or raise
-NonConvergenceError.
+form, Dykstra's alternating scheme for intersections, and one active-set
+kernel for finite projections: Wolfe's minimum-norm-point method for hulls of
+point clouds and its conic twin, Lawson-Hanson's nonnegative least squares, for
+finitely generated cones. Both either return an answer whose optimality
+certificate is within tolerance or raise NonConvergenceError. Everything here
+runs on numpy alone.
 
-Wolfe's method alternates major cycles, which add the vertex with the largest
-Frank-Wolfe gap to the support, and minor cycles, which step back toward the
-support's affine minimizer and drop the vertices whose weights reach zero.
-The affine minimizer comes from a QR factorization of the support's
-difference vectors that each cycle updates instead of recomputing: one
-Gram-Schmidt step with reorthogonalization per added vertex, a Givens
-downdate per dropped one, and a triangular back-substitution for the weights.
-
-Only the generator kernel, `project_conic_generators` (behind the projections
-onto generated PolyhedralCone and ConicHull specs), needs scipy. Its `nnls`
-imports `scipy.optimize` on first call, not at module import: that import costs
-a few tenths of a second and about 40 MB per process, and the closed forms,
-Dykstra and the hull kernel run on numpy alone.
+Both methods add the row that violates optimality most to their support and,
+when a weight of the support's least-squares point is negative, step back
+toward it and drop the rows whose weights reach zero. That point comes from a
+QR factorization of the support (_SupportQR) that each step updates instead of
+recomputing: one Gram-Schmidt step with reorthogonalization per added row, a
+Givens downdate per dropped one, and a triangular back-substitution.
 
 A point that is already in the cone comes back unchanged: the orthant,
 halfspace and second-order-cone closed forms and the PSD eigenvalue clip return
@@ -166,106 +158,6 @@ def _kkt_certified(dual: float, comp: float, scale: float) -> bool:
     return dual <= GAP_TOL * s and comp <= GAP_TOL * s * s
 
 
-# Working-set size of the screened generator solve: a cone with more
-# generators is first solved on the SCREEN_SIZE rows that pair best with x.
-SCREEN_SIZE = 64
-
-
-_scipy_nnls = None
-
-
-def nnls(A: np.ndarray, b: np.ndarray, maxiter: int | None = None):
-    """scipy.optimize.nnls, imported on first call and kept in _scipy_nnls
-    (see the module docstring)."""
-    global _scipy_nnls
-    if _scipy_nnls is None:
-        from scipy.optimize import nnls as _scipy_nnls
-    return _scipy_nnls(A, b, maxiter=maxiter)
-
-
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lawson-Hanson weights of min ||A lam - b|| over lam >= 0, capped at
-    scipy's default of 3 iterations per column."""
-    max_iter = 3 * A.shape[1]
-    try:
-        return nnls(A, b, maxiter=max_iter)[0]
-    except RuntimeError:
-        raise NonConvergenceError("nnls hit its iteration cap", max_iter, float("nan")) from None
-
-
-def _screened_nnls(G: np.ndarray, x: np.ndarray, x_norm: float):
-    """Column generation over the rows of G: (weights over all rows, p, G (x - p)).
-
-    The first working set is the SCREEN_SIZE rows of largest cosine with x.
-    Each round solves NNLS on the working set, prices every row by its
-    pairing with x - p, and re-solves with the SCREEN_SIZE most violating
-    rows outside the set: those that pair above GAP_TOL * max(1, x_norm =
-    ||x||), the dual-feasibility tolerance of the certificate, largest
-    pairing first. Each round adds a row or stops, so at worst the last
-    round solves over all rows."""
-    n = G.shape[0]
-    norms = np.sqrt(np.einsum("ij,ij->i", G, G))
-    cos = np.divide(G @ x, norms, out=np.full(n, -np.inf), where=norms > 0.0)
-    work = np.zeros(n, dtype=bool)
-    work[np.argpartition(-cos, SCREEN_SIZE - 1)[:SCREEN_SIZE]] = True
-    tol = GAP_TOL * max(1.0, x_norm)
-    while True:
-        W = np.flatnonzero(work)
-        lam_w = _nnls(G[W].T, x)
-        p = lam_w @ G[W]
-        pair = G @ (x - p)
-        violators = np.flatnonzero(~work & (pair > tol))
-        if violators.size == 0:
-            break
-        if violators.size > SCREEN_SIZE:
-            violators = violators[np.argpartition(-pair[violators], SCREEN_SIZE - 1)[:SCREEN_SIZE]]
-        work[violators] = True
-    lam = np.zeros(n)
-    lam[W] = lam_w
-    return lam, p, pair
-
-
-def project_conic_generators(generators: np.ndarray, x: np.ndarray):
-    """Exact projection onto cone{rows of generators}.
-
-    Lawson-Hanson nonnegative least squares, min ||G^T lam - x|| over
-    lam >= 0, certified by the KKT gap max(0, max_i <g_i, x - p>) +
-    |<lam, G (x - p)>| with p = G^T lam. Returns (point, weights over all
-    rows, kkt_gap). With at most SCREEN_SIZE generators this is one solve
-    over all of them. With more it is a screened column-generation solve:
-    screen the SCREEN_SIZE generators of largest cosine with x, solve on
-    them, price every generator by <g_i, x - p> and re-solve with the
-    SCREEN_SIZE most violating generators outside the set (largest pairing
-    above the dual-feasibility tolerance) added, until none violates. The
-    certificate is then taken over all generators, as for one solve.
-    Raises NonConvergenceError when a solve hits its cap of 3 iterations
-    per generator in its set or a term of the gap is above tolerance (see
-    _kkt_certified), and ValueError for a non-finite x.
-
-    A member comes back unchanged: when p reproduces x to rounding level
-    (see _snap_member) a copy of x is returned and ||x - p|| is added to the
-    gap."""
-    G = np.asarray(generators, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = G.shape[0]
-    if n == 0:
-        return np.zeros_like(x), np.zeros(0), 0.0
-    x_norm = vec_norm(x)
-    if n <= SCREEN_SIZE:
-        lam = _nnls(G.T, x)
-        p = G.T @ lam
-        pair = G @ (x - p)
-    else:
-        lam, p, pair = _screened_nnls(G, x, x_norm)
-    dual = float(max(0.0, pair.max()))
-    comp = abs(float(lam @ pair))
-    gap = dual + comp
-    if not _kkt_certified(dual, comp, x_norm):
-        raise NonConvergenceError("nnls KKT gap above tolerance", 0, gap)
-    p, gap = _snap_member(x, p, gap, x_norm)
-    return p, lam, gap
-
-
 # ---------------------------------------------------------------------------
 # project
 # ---------------------------------------------------------------------------
@@ -371,7 +263,7 @@ def dykstra_intersection(parts, x, tol: Tolerance = DEFAULT_TOL) -> ProjectionRe
 
 
 # ---------------------------------------------------------------------------
-# Convex-hull projection (Wolfe's minimum-norm-point method)
+# Finite projections: Wolfe's method for hulls, Lawson-Hanson's for cones
 # ---------------------------------------------------------------------------
 
 # A difference vector whose part off the span of the earlier ones is at most
@@ -380,35 +272,38 @@ AFFINE_DEPENDENT = 64.0 * np.finfo(float).eps
 # Largest entry of x or points from which project_hull scales both by a power
 # of two: below it no product of two differences of entries can overflow.
 HULL_HUGE = 2.0**500
+_TINY = np.finfo(float).tiny
 
 
 class _SupportQR:
-    """Wolfe's support, positions 0..k-1 holding rows of C, with a QR
-    factorization of its difference vectors C[support[t]] - C[support[0]].
+    """An active set, positions 0..k-1 holding rows of C, with a QR
+    factorization of the vectors C[support[t]] - base: from the origin for
+    Lawson-Hanson, and for Wolfe, who passes no base, from the first support
+    row, rebased when it leaves (position 0 then has no column).
 
     The first r rows of Q, a preallocated d x d buffer, are orthonormal; R is
     r x r upper triangular in Python floats, kept by columns (R[i] holds rows
-    0..i of column i), and cols[i] is the position whose difference vector is
-    factor column i. A vector is added by classical Gram-Schmidt with one
-    reorthogonalization (CGS2); one that is dependent on the earlier ones to
-    rounding level gets no column, and weight 0. Deleting a position is a
-    Givens downdate, after rebasing the differences on position 1 when it is
-    position 0. While some position has no column, a deletion refactors the
-    whole support instead: a vector dependent on the deleted one may not be
-    dependent on the rest."""
+    0..i of column i), and cols[i] is the position of factor column i. A
+    vector is added by classical Gram-Schmidt with one reorthogonalization
+    (CGS2); one dependent on the earlier ones to rounding level gets no
+    column, and weight 0. Deleting a position is a Givens downdate; while some
+    position has no column, it refactors the whole support instead: a vector
+    dependent on the deleted one may not be dependent on the rest."""
 
-    __slots__ = ("C", "xc", "support", "Q", "R", "cols", "base", "w")
+    __slots__ = ("C", "xc", "support", "Q", "R", "cols", "base", "w", "lead")
 
-    def __init__(self, C: np.ndarray, xc: np.ndarray, support: list):
+    def __init__(self, C: np.ndarray, xc: np.ndarray, support: list, base=None):
         self.C, self.xc, self.support = C, xc, support
+        self.lead, self.base, self.w = (1, None, None) if base is None else (0, base, xc)
         self.Q = np.empty((C.shape[1], C.shape[1]))
         self._refactor()
 
     def _refactor(self):
-        self.base = self.C[self.support[0]]
-        self.w = self.xc - self.base
+        if self.lead:
+            self.base = self.C[self.support[0]]
+            self.w = self.xc - self.base
         self.R, self.cols = [], []
-        for pos in range(1, len(self.support)):
+        for pos in range(self.lead, len(self.support)):
             self._append(pos)
 
     def _append(self, pos: int):
@@ -456,15 +351,15 @@ class _SupportQR:
 
     def drop(self, gone: list):
         """Delete the positions in gone, in increasing order."""
-        sup = self.support
-        if len(self.R) < len(sup) - 1:
+        sup, lead = self.support, self.lead
+        if len(self.R) < len(sup) - lead:
             for pos in reversed(gone):
                 del sup[pos]
             self._refactor()
             return
         for pos in reversed(gone):
-            if pos:
-                self._delete(pos - 1)
+            if pos >= lead:
+                self._delete(pos - lead)
             else:
                 # the differences from position 1 are those from position 0
                 # less column 0, whose only entry is R[0][0]
@@ -475,18 +370,18 @@ class _SupportQR:
                 self.base = self.C[sup[1]]
                 self.w = self.xc - self.base
             del sup[pos]
-        self.cols = list(range(1, len(sup)))
+        self.cols = list(range(lead, len(sup)))
 
     def weights(self) -> list:
-        """Weights mu, sum 1, over the support of the point of its affine
-        hull nearest x: nu from R nu = Q (x - C[support[0]]) by
-        back-substitution, on the factor columns, 0 on dependent positions
-        and 1 - sum(nu) on position 0. One position is its own affine hull:
-        its weight is exactly 1."""
+        """Weights mu over the support of the point of its span (for Wolfe: its
+        affine hull, mu summing to 1) nearest x: nu from R nu = Q (x - base),
+        on the factor columns, 0 on dependent positions and, for Wolfe,
+        1 - sum(nu) on position 0, which alone weighs exactly 1."""
         R = self.R
         mu = [0.0] * len(self.support)
         if not R:
-            mu[0] = 1.0
+            if self.lead:
+                mu[0] = 1.0
             return mu
         c = self.Q[:len(R)].dot(self.w).tolist()
         for i in range(len(R) - 1, -1, -1):
@@ -496,7 +391,8 @@ class _SupportQR:
                 c[t] -= col[t] * nu
         for pos, nu in zip(self.cols, c):
             mu[pos] = nu
-        mu[0] = 1.0 - sum(c)
+        if self.lead:
+            mu[0] = 1.0 - sum(c)
         return mu
 
 
@@ -558,17 +454,14 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     """Exact nearest point of conv(rows of points) from x.
 
     Wolfe's minimum-norm-point method (Wolfe 1976), started at the nearest
-    vertex. Each iteration finds the point of the support's affine hull
-    nearest x. When its weights are nonnegative (major cycle) it becomes the
-    iterate and the vertex with the largest Frank-Wolfe gap joins the
-    support; when one is negative (minor cycle) the iterate steps toward it
-    up to the last feasible point and the vertices whose weights reach zero
-    leave the support. The affine point comes from a QR factorization of the
-    support's difference vectors p_t - p_0, which is updated, not recomputed:
-    a joining vertex is one Gram-Schmidt step with reorthogonalization, a
-    leaving one a Givens downdate (see _SupportQR), and the weights are a
-    back-substitution. The answer is certified by a Frank-Wolfe gap of at
-    most GAP_TOL; the loop raises NonConvergenceError when it stalls (the
+    vertex, on the updated QR factor of the support's difference vectors
+    p_t - p_0 (see _SupportQR). Each iteration finds the point of the
+    support's affine hull nearest x. When its weights are nonnegative (major
+    cycle) it becomes the iterate and the vertex with the largest Frank-Wolfe
+    gap joins the support; when one is negative (minor cycle) the iterate
+    steps toward it up to the last feasible point and the vertices whose
+    weights reach zero leave. The answer is certified by a Frank-Wolfe gap of
+    at most GAP_TOL; the loop raises NonConvergenceError when it stalls (the
     most violating vertex is already in the support) or reaches
     HULL_MAX_ITER iterations.
 
@@ -634,3 +527,95 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
         full[support] = lam
         return res, full
     return res
+
+
+CONE_MAX_ITER = 20000  # iteration cap of the generator kernel's loop
+
+
+def _lawson_hanson(G: np.ndarray, x: np.ndarray):
+    """Lawson-Hanson's loop from the generators pairing positively with x if
+    there are at most d generators and their least-squares weights are
+    positive (a member of a simplicial cone then takes one factorization),
+    else from the empty set. Returns (p, support, weights, G (x - p))."""
+    support = [i for i, v in enumerate(G.dot(x).tolist()) if v > 0.0] if len(G) <= len(x) else []
+    f = _SupportQR(G, x, support, np.zeros(len(x)))
+    mu = f.weights()
+    if len(f.R) < len(support) or not all(u > 0.0 for u in mu):
+        support, mu = [], []
+        f = _SupportQR(G, x, support, f.base)
+    inv = None
+    for _ in range(CONE_MAX_ITER):
+        lam, Qr = mu, f.Q[:len(f.R)]  # p = Q^T Q x is accurate where the weights are not
+        p = Qr.dot(x).dot(Qr) if support else f.base
+        pair = G.dot(x - p)
+        if len(support) == len(G):
+            break  # every generator is in the support: its pairings are noise
+        if inv is None:  # price per unit length, as the cone ignores lengths
+            inv = 1.0 / np.sqrt(np.maximum(np.einsum("ij,ij->i", G, G), _TINY))
+        j = int((pair * inv).argmax())
+        if not pair[j] > 0.0 or j in support:
+            break
+        r = len(f.R)
+        f.add(j)
+        mu = f.weights()
+        if len(f.R) == r or not mu[-1] > 0.0:
+            support.pop()  # g_j's pairing is rounding noise; f is not used again
+            break
+        lam.append(0.0)
+        while mu and min(mu) <= 0.0:
+            # step from lam toward mu until a weight (not g_j's) reaches zero
+            t, first = min((l / (l - u), i) for i, (l, u) in enumerate(zip(lam, mu)) if u <= 0.0)
+            lam = [l + t * (u - l) for l, u in zip(lam, mu)]
+            lam[first] = 0.0
+            f.drop([i for i, l in enumerate(lam) if not l > 0.0])
+            lam = [l for l in lam if l > 0.0]
+            mu = f.weights()
+    else:
+        raise NonConvergenceError("project_conic_generators hit its iteration cap",
+                                  CONE_MAX_ITER, float(pair.max()))
+    return p, support, lam, pair
+
+
+def project_conic_generators(generators: np.ndarray, x: np.ndarray):
+    """Exact projection onto cone{rows of generators}: Lawson-Hanson's method
+    (Lawson and Hanson 1974) for min ||G^T lam - x|| over lam >= 0 on the
+    updated QR factor of its support. Each iteration prices every generator
+    by <g_i, x - p> and adds the one that violates most per unit length (so
+    rounding on a long generator cannot hide a short violator); a
+    nonpositive weight steps back and drops generators, as Wolfe's minor
+    cycle does. p is Q^T Q x for the support's Q. The loop stops when no
+    generator pairs positively with x - p, or when the most violating one is
+    in the support or its span or its weight rounds to 0. Returns (point,
+    weights over all rows, kkt_gap), the gap max(0, max_i <g_i, x - p>) +
+    |<lam, G (x - p)>|. Raises NonConvergenceError after CONE_MAX_ITER
+    iterations or for a gap term above tolerance (see _kkt_certified),
+    ValueError for a non-finite entry. When x.x overflows, x / 2^e, 2^e just
+    above max |x_i|, is projected and the point and weights scaled back
+    exactly, with the certificate of x / 2^e. A member comes back unchanged:
+    when p reproduces x to rounding level (_snap_member), a copy of x, with
+    ||x - p|| added to the gap."""
+    G = np.asarray(generators, dtype=float)
+    x = np.asarray(x, dtype=float)
+    # vdot does not warn when it overflows; the entries decide then
+    xx = float(np.vdot(x, x))
+    if not ((math.isfinite(xx) or np.isfinite(x).all())
+            and (math.isfinite(np.vdot(G, G)) or np.isfinite(G).all())):
+        raise ValueError("generators and x must be finite")
+    if len(G) == 0:
+        return np.zeros_like(x), np.zeros(0), 0.0
+    e = 0 if math.isfinite(xx) else math.frexp(float(np.abs(x).max()))[1]
+    xs = np.ldexp(x, -e) if e else x
+    x_norm = math.sqrt(xx) if not e else vec_norm(xs)
+    p, support, weights, pair = _lawson_hanson(G, xs)
+    dual = max(0.0, float(pair.max()))
+    comp = abs(sum(w * float(pair[i]) for i, w in zip(support, weights)))
+    if not _kkt_certified(dual, comp, x_norm):
+        raise NonConvergenceError("project_conic_generators KKT gap above tolerance", 0, dual + comp)
+    p, gap = _snap_member(xs, p, dual + comp, x_norm)
+    lam = np.zeros(len(G))
+    for i, w in zip(support, weights):
+        lam[i] = w
+    if e:
+        with np.errstate(over="ignore"):
+            p, lam = np.ldexp(p, e), np.ldexp(lam, e)
+    return p, lam, gap

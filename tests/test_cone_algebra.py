@@ -243,6 +243,44 @@ class TestHugePointMembership:
         assert r.status is Membership.OUTSIDE and r.distance == np.inf
 
 
+class TestHugePointFaceMembership:
+    """Face membership closures that square the point decide a point whose
+    x.x overflows at x / 2^e, with no overflow warning (an error here)."""
+
+    def test_soc_ray_face(self):
+        from conelab.facial_structure import face_contains, minimal_face
+
+        F = minimal_face(SecondOrderCone(3), [1.0, 0.0, 1.0])
+        assert F.contains([1e200, 0.0, 1e200])
+        assert not F.contains([1e200, 0.0, -1e200]) and not F.contains([1e200, 1e200, 1e200])
+        normal = np.random.default_rng(2).standard_normal((6, 3))
+        normal[:3] = np.abs(normal[:3, :1]) * [1.0, 0.0, 1.0]
+        huge = np.array([[1e200, 0.0, 1e200], [1e200, 1e199, 1e200], [np.nan, 0.0, 1.0]])
+        got = face_contains(F, np.vstack([normal, huge]))
+        # the normal-range rows keep the verdicts they get without huge rows
+        assert got[:6].tolist() == face_contains(F, normal).tolist() == [F.contains(x) for x in normal]
+        assert got[6:].tolist() == [True, False, False]
+
+    @pytest.mark.parametrize("rep", ["inequalities", "generators"])
+    def test_polyhedral_faces(self, rep):
+        from conelab.facial_structure import minimal_face
+
+        F = minimal_face(PolyhedralCone(**{rep: np.eye(3)}), [1e200, 0.0, 1e200])
+        assert F.descriptor["kind"] == ("poly_active" if rep == "inequalities" else "poly_gens")
+        assert F.contains([1e200, 0.0, 1e200]) and F.contains([3e200, 0.0, 1e150])
+        assert not F.contains([1e200, 1e199, 1e200]) and not F.contains([1e200, 0.0, -1e200])
+        assert F.contains([1.0, 0.0, 2.0]) and not F.contains([1.0, 1e-3, 2.0])
+
+    def test_dual_span_face(self):
+        from conelab.facial_structure import conjugate_face, full_face
+
+        K = PolyhedralCone(generators=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        G = conjugate_face(K, full_face(K))
+        assert G.descriptor["kind"] == "dual_span_face"
+        assert G.contains([0.0, 0.0, 1e200]) and G.contains([0.0, 0.0, -1e200])
+        assert not G.contains([1e200, 0.0, 1e200])
+
+
 class TestLinearImageOrthonormalFlag:
     def test_computed_once_and_projections_unchanged(self, monkeypatch):
         A = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 3)))[0]

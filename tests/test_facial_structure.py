@@ -384,10 +384,10 @@ _DOUBLE_CONJUGATE_CASES = {
         [0.0, 0.4898420501851982, 0.0],
     ],
     "generators": [
-        [1.3118133348114184e-14, 1.3118133348114182e-14, -1.3118133348114182e-14],
-        [-0.1178720229775115, -0.11787202297751148, 0.11787202297751148],
-        [8.151350353025261e-15, 8.15135035302526e-15, -8.15135035302526e-15],
-        [-0.16250661926493434, -0.16250661926493432, 0.16250661926493432],
+        [1.3104374545779429e-14, 1.3104374545779427e-14, -1.3104374545779427e-14],
+        [-0.11787202297751144, -0.11787202297751141, 0.11787202297751141],
+        [8.063789823687611e-15, 8.06378982368761e-15, -8.06378982368761e-15],
+        [-0.16250661926493432, -0.1625066192649343, 0.1625066192649343],
     ],
     "non_spanning": [
         [0.0, 0.0, -0.2741378553622176],

@@ -122,6 +122,26 @@ class TestCurveCloudCache:
         assert tags2.tobytes() == ref_tags.tobytes()
         assert not any(a.flags.writeable for a in G._fixed_rows(128))
 
+    def test_slice_sampler_serves_one_read_only_lifted_cloud(self, monkeypatch):
+        # conic_hull_of_body builds its lifted cloud once; the slice sampler
+        # behind verify_slice_bound hands out that array, read-only, and does
+        # not rebuild the curve cloud
+        from conelab.hull_constants import verify_slice_bound
+
+        K = G.conic_hull_of_body(512)
+        sampler = K.extra["slice"].sampler
+        cloud = sampler(512)
+        pts, tags = _curve_cloud_reference(512)
+        assert cloud.tobytes() == np.column_stack([pts, np.ones(pts.shape[0])]).tobytes()
+        assert not cloud.flags.writeable and sampler(512) is cloud
+        with pytest.raises(ValueError):
+            cloud[0, 0] = 0.0
+        calls = []
+        curve_cloud = G.curve_cloud
+        monkeypatch.setattr(G, "curve_cloud", lambda *a, **k: calls.append(a) or curve_cloud(*a, **k))
+        report = verify_slice_bound(K, n_samples=5, density=512, seed=1)
+        assert report.violations == 0 and calls == []
+
 
 class TestDeterminantIdentity:
     def test_frozen_value(self):

@@ -1,4 +1,6 @@
-"""conelab imports numpy alone and loads scipy on the first call that needs it.
+"""conelab imports numpy alone and loads scipy on the first call that needs it:
+only the minimisation routes of facial_structure and the gallery's exposing
+normals do. Projections, generator cones among them, never load it.
 
 Each case runs in a fresh interpreter, because this test process already
 holds scipy. The case's last line of output is a JSON object holding the
@@ -76,7 +78,7 @@ def test_cli_project_onto_orthant_loads_no_scipy(tmp_path):
     assert out["scipy"] == []
 
 
-def test_conic_hull_projection_loads_scipy_and_matches_nnls():
+def test_conic_hull_projection_loads_no_scipy_and_matches_nnls():
     pts = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
     x = np.array([3.0, 1.0, 0.5])
     out = _run_fresh(
@@ -86,53 +88,68 @@ def test_conic_hull_projection_loads_scipy_and_matches_nnls():
         "K = ConicHull(SliceSpec(e=np.array([0.0, 0.0, 1.0]), sampler=lambda n: pts))\n"
         f"extra = {{'point': project(K, np.array({x.tolist()!r})).point.tobytes().hex()}}\n"
     )
-    assert "scipy.optimize" in out["scipy"]
-    ref = pts.T @ nnls(pts.T, x, maxiter=3 * pts.shape[0])[0]
+    assert out["scipy"] == []
+    p = np.frombuffer(bytes.fromhex(out["point"]))
+    ref = pts.T @ nnls(pts.T, x)[0]
     assert not np.allclose(ref, x)  # not a member, so no snap to x
-    assert bytes.fromhex(out["point"]) == ref.tobytes()
+    assert abs(np.linalg.norm(x - p) - np.linalg.norm(x - ref)) <= 1e-15
+    np.testing.assert_allclose(p, ref, rtol=0.0, atol=1e-15)
 
 
-def test_nnls_imports_scipy_once_over_many_solves():
-    # every import statement that projection_engine runs goes through
-    # builtins.__import__ with the module's globals (as do numpy's lazy
-    # imports from C, so only scipy names count); only the first solve
-    # imports scipy.optimize, and later ones reuse the function it bound
+@pytest.mark.parametrize("cone", ["gallery", "polytope"])
+def test_verify_slice_bound_loads_no_scipy(cone):
     out = _run_fresh(
-        "import builtins\n"
         "import numpy as np\n"
-        "from conelab.projection_engine import project_conic_generators\n"
-        "seen = []\n"
-        "_import = builtins.__import__\n"
-        "def _counting(name, globals=None, *args, **kwargs):\n"
-        "    if (name.startswith('scipy') and globals is not None\n"
-        "            and globals.get('__name__') == 'conelab.projection_engine'):\n"
-        "        seen.append(name)\n"
-        "    return _import(name, globals, *args, **kwargs)\n"
-        "builtins.__import__ = _counting\n"
-        "G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])\n"
-        "for x in ([3.0, 1.0, 0.5], [-2.0, 1.0, 1.0], [0.5, -3.0, 2.0], [1.0, 1.0, -1.0]):\n"
-        "    project_conic_generators(G, np.array(x))\n"
-        "builtins.__import__ = _import\n"
-        "extra = {'imports': seen}\n"
+        "from conelab import ConicHull, SliceSpec, gallery\n"
+        "from conelab.hull_constants import verify_slice_bound\n"
+        "if " + repr(cone) + " == 'gallery':\n"
+        "    r = verify_slice_bound(gallery.conic_hull_of_body(512), n_samples=10, density=512, seed=3)\n"
+        "else:\n"
+        "    pts = np.column_stack([np.random.default_rng(3).normal(2.0, 0.6, size=(40, 4)),\n"
+        "                           np.ones(40)])\n"
+        "    K = ConicHull(SliceSpec(e=np.array([0.0, 0.0, 0.0, 0.0, 1.0]), sampler=lambda n: pts))\n"
+        "    r = verify_slice_bound(K, n_samples=10, density=40, seed=3, spread=2.0)\n"
+        "extra = {'kept': r.n_kept, 'violations': r.violations}\n"
     )
-    assert out["imports"] == ["scipy.optimize"]
-    assert "scipy.optimize" in out["scipy"]
+    assert out["kept"] > 0 and out["violations"] == 0
+    assert out["scipy"] == []
 
 
-def test_monkeypatched_nnls_is_what_the_generator_kernel_calls(monkeypatch):
-    from conelab import projection_engine
+def test_generator_faces_and_polyhedral_projections_load_no_scipy():
+    out = _run_fresh(
+        "import numpy as np\n"
+        "from conelab import PolyhedralCone, project\n"
+        "from conelab.facial_structure import face_projection, minimal_face\n"
+        "G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])\n"
+        "K = PolyhedralCone(generators=G)\n"
+        "F = minimal_face(K, G[0] + G[1])\n"
+        "x = np.array([3.0, 1.0, 0.5])\n"
+        "extra = {'kind': F.descriptor['kind'], 'in': bool(F.contains(2.0 * G[0] + G[1])),\n"
+        "         'out': bool(F.contains(x)), 'proj': face_projection(F, x).tolist(),\n"
+        "         'gens': project(K, x).point.tolist(),\n"
+        "         'ineq': project(PolyhedralCone(inequalities=G), x).point.tolist()}\n"
+    )
+    assert out["kind"] == "poly_gens" and out["in"] and not out["out"]
+    G = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
+    x = np.array([3.0, 1.0, 0.5])
+    np.testing.assert_allclose(out["gens"], G.T @ nnls(G.T, x)[0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(out["proj"], [1.75, 0.0, 1.75], rtol=0.0, atol=1e-15)
+    assert out["scipy"] == []
 
-    G = np.array([[1.0, 0.0], [1.0, 1.0]])
-    x = np.array([-1.0, 2.0])
-    projection_engine.project_conic_generators(G, x)  # scipy's nnls is bound by now
-    real = projection_engine.nnls
-    calls = []
 
-    def spy(A, b, maxiter=None):
-        calls.append(A.shape)
-        return real(A, b, maxiter=maxiter)
+BENCH = SRC.parent / "bench"
 
-    monkeypatch.setattr(projection_engine, "nnls", spy)
-    p, lam, gap = projection_engine.project_conic_generators(G, x)
-    assert calls == [(2, 2)]
-    assert p.tobytes() == (G.T @ nnls(G.T, x, maxiter=6)[0]).tobytes()
+
+@pytest.mark.parametrize("name", ["slice_bound", "pointwise"])
+def test_benchmark_instances_load_no_scipy(name):
+    # one instance of the workload, set up and gated as the benchmark runs it
+    out = _run_fresh(
+        "import sys\n"
+        f"sys.path.insert(0, {str(BENCH)!r})\n"
+        "from workloads import WORKLOADS\n"
+        f"w = WORKLOADS[{name!r}]\n"
+        "checked, failed = w.gate(w.run(w.setup(), w.inputs(0, 0)))\n"
+        "extra = {'checked': checked, 'failed': failed}\n"
+    )
+    assert out["checked"] > 0 and out["failed"] == 0
+    assert out["scipy"] == []

@@ -230,9 +230,28 @@ def _gallery_generators(density: int, hint: float = 0.0) -> np.ndarray:
 
 
 def _one_solve(G, x):
-    """The unscreened kernel: one nnls solve over all generators."""
-    lam = nnls(G.T, x, maxiter=3 * G.shape[0])[0]
+    """scipy's nonnegative least squares over all generators: the oracle."""
+    lam = nnls(G.T, x, maxiter=30 * G.shape[0])[0]
     return G.T @ lam, lam
+
+
+def _kkt_terms(G, x, p, lam):
+    """The dual-feasibility and complementarity terms of the KKT gap at p."""
+    pair = G @ (x - p)
+    return max(0.0, float(pair.max())), abs(float(lam @ pair))
+
+
+def _assert_agrees_with_scipy(G, x):
+    """Both answers are certified, and their distances agree to 1e-9 s,
+    s = max(1, ||x||). Returns the kernel's answer and the oracle's point."""
+    p, lam, gap = project_conic_generators(G, x)
+    ref, ref_lam = _one_solve(G, x)
+    s = max(1.0, float(np.linalg.norm(x)))
+    assert projection_engine._kkt_certified(*_kkt_terms(G, x, ref, ref_lam), s)
+    assert projection_engine._kkt_certified(*_kkt_terms(G, x, G.T @ lam, lam), s)
+    assert abs(np.linalg.norm(x - p) - np.linalg.norm(x - ref)) <= 1e-9 * s
+    assert lam.shape == (G.shape[0],) and np.all(lam >= 0.0)
+    return p, lam, gap, ref
 
 
 def _queries(G, rng, n):
@@ -252,34 +271,76 @@ def _queries(G, rng, n):
     return out
 
 
-class TestScreenedGenerators:
-    """More than SCREEN_SIZE generators go through the screened solve."""
+def _slice_polytope():
+    """The 40-point shifted polytope of the slice_bound check, lifted."""
+    return np.column_stack([np.random.default_rng(3).normal(2.0, 0.6, size=(40, 4)), np.ones(40)])
+
+
+def _slice_queries(G, rng, n, spread):
+    """Points around the cloud's centroid inside its slice hyperplane, as
+    verify_slice_bound draws them."""
+    center = G.mean(axis=0)
+    r = float(np.linalg.norm(G, axis=1).max())
+    coords = rng.standard_normal((n, G.shape[1] - 1))
+    coords *= rng.uniform(0.0, spread * r, (n, 1)) / np.linalg.norm(coords, axis=1, keepdims=True)
+    return center + np.column_stack([coords, np.zeros(n)])
+
+
+class TestLawsonHanson:
+    """The generator kernel against scipy's nonnegative least squares."""
 
     @pytest.mark.parametrize(
         "kind,n", [("random", 65), ("random", 300), ("random", 2000), ("gallery", 1536),
                    ("gallery", 6209)],
     )
-    def test_agrees_with_one_full_solve(self, kind, n):
+    def test_agrees_with_scipy(self, kind, n):
         rng = np.random.default_rng(n)
         if kind == "random":
             G = np.column_stack([rng.standard_normal((n, 3)), np.ones(n)])
         else:
             G = _gallery_generators(512 if n == 1536 else 2048, hint=1.1)
-        assert G.shape[0] == n > projection_engine.SCREEN_SIZE
+        assert G.shape[0] == n
         for x in _queries(G, rng, 12):
-            p, lam, gap = project_conic_generators(G, x)
-            ref, _ = _one_solve(G, x)
+            p, lam, gap, ref = _assert_agrees_with_scipy(G, x)
             s = max(1.0, float(np.linalg.norm(x)))
             assert np.linalg.norm(p - ref) <= 1e-12 * s
-            assert lam.shape == (n,) and np.all(lam >= 0.0)
             assert gap <= 1e-10 * s * s
-            # the certificate covers every generator, in the set or not
+            # the certificate covers every generator
             assert (G @ (x - p)).max() <= 1e-10 * s
 
-    def test_pricing_pulls_in_a_low_cosine_support(self, monkeypatch):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 7),
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+        member=st.booleans(),
+    )
+    def test_agrees_with_scipy_on_random_cones(self, d, n, seed, log_scale, member):
+        rng = np.random.default_rng(seed)
+        G = rng.standard_normal((n, d))
+        for _ in range(3):
+            x = rng.standard_normal(d) * 10.0**log_scale
+            if member:
+                x = rng.gamma(1.0, 1.0, n) @ G
+            _assert_agrees_with_scipy(G, x)
+
+    @pytest.mark.parametrize("cloud", ["gallery", "polytope"])
+    def test_agrees_with_scipy_on_slice_queries(self, cloud):
+        # the queries of verify_slice_bound on the 1,536-generator gallery
+        # slice and on the 40-point polytope
+        G = _gallery_generators(512) if cloud == "gallery" else _slice_polytope()
+        rng = np.random.default_rng(400)
+        for x in _slice_queries(G, rng, 400, 3.0 if cloud == "gallery" else 2.0):
+            p, lam, gap, ref = _assert_agrees_with_scipy(G, x)
+            s = max(1.0, float(np.linalg.norm(x)))
+            assert np.linalg.norm(p - ref) <= 1e-12 * s
+            assert gap <= 1e-10 * s * s and (G @ (x - p)).max() <= 1e-10 * s
+
+    def test_pricing_pulls_in_a_low_cosine_support(self):
         # x sits just below the middle of the long edge A B of the slice
         # triangle A B C; 100 interior decoys near the edge pair better with x
-        # than A and B do, so the first working set misses the support {A, B}
+        # by cosine than A and B do, yet the support is {A, B}
         rng = np.random.default_rng(3)
         decoys = np.column_stack(
             [rng.uniform(-0.1, 0.1, 100), rng.uniform(0.01, 0.05, 100), np.ones(100)]
@@ -288,76 +349,13 @@ class TestScreenedGenerators:
         G = np.vstack([decoys, [A, B, C]])
         x = np.array([0.3, -0.5, 1.0])
         cos = (G @ x) / np.linalg.norm(G, axis=1)
-        first = np.argsort(-cos)[: projection_engine.SCREEN_SIZE]
-        assert not {100, 101} & set(first.tolist())
-        sizes = []
-
-        def spy(A_, b, maxiter=None):
-            sizes.append(A_.shape[1])
-            return nnls(A_, b, maxiter=maxiter)
-
-        monkeypatch.setattr(projection_engine, "nnls", spy)
+        assert not {100, 101} & set(np.argsort(-cos)[:64].tolist())
         p, lam, gap = project_conic_generators(G, x)
-        assert sizes[0] == projection_engine.SCREEN_SIZE and len(sizes) >= 2
         assert lam[100] > 0.0 and lam[101] > 0.0
+        assert np.count_nonzero(lam) == 2
         np.testing.assert_allclose(p, [0.3, 0.0, 1.0], rtol=0.0, atol=1e-12)
         ref, _ = _one_solve(G, x)
         assert np.linalg.norm(p - ref) <= 1e-12 * np.linalg.norm(x)
-
-    @pytest.mark.parametrize("density", [512, 2048], ids=["1536", "6209"])
-    def test_each_round_adds_at_most_screen_size(self, density, monkeypatch):
-        G = _gallery_generators(density, hint=1.1)
-        sizes = []
-
-        def spy(A_, b, maxiter=None):
-            sizes.append(A_.shape[1])
-            return nnls(A_, b, maxiter=maxiter)
-
-        monkeypatch.setattr(projection_engine, "nnls", spy)
-        rng = np.random.default_rng(density)
-        grew = 0
-        for x in _queries(G, rng, 40):
-            sizes.clear()
-            project_conic_generators(G, x)
-            steps = np.diff(sizes)
-            assert sizes[0] == projection_engine.SCREEN_SIZE
-            assert np.all((steps >= 1) & (steps <= projection_engine.SCREEN_SIZE))
-            grew += int(np.any(steps == projection_engine.SCREEN_SIZE))
-        assert grew > 0  # some round had more violators than the cap
-
-    def test_slice_stress_agrees_with_one_full_solve(self):
-        # queries of verify_slice_bound on the 1,536-generator gallery slice:
-        # points around the slice's centroid, inside its hyperplane
-        G = _gallery_generators(512)
-        rng = np.random.default_rng(400)
-        center = G.mean(axis=0)
-        r = float(np.linalg.norm(G, axis=1).max())
-        coords = rng.standard_normal((400, 3))
-        coords *= rng.uniform(0.0, 3.0 * r, (400, 1)) / np.linalg.norm(coords, axis=1, keepdims=True)
-        for x in center + np.column_stack([coords, np.zeros(400)]):
-            p, lam, gap = project_conic_generators(G, x)
-            ref, _ = _one_solve(G, x)
-            s = max(1.0, float(np.linalg.norm(x)))
-            assert np.linalg.norm(p - ref) <= 1e-12 * s
-            assert np.all(lam >= 0.0) and gap <= 1e-10 * s * s
-            assert (G @ (x - p)).max() <= 1e-10 * s
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 40, 64])
-    def test_few_generators_take_the_single_solve_bitwise(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(10):
-            G = rng.standard_normal((n, 4))
-            x = rng.standard_normal(4) * 10.0 ** rng.uniform(-2, 2)
-            if rng.random() < 0.3:
-                x = np.abs(rng.standard_normal(n)) @ G  # a member
-            p, lam, gap = project_conic_generators(G, x)
-            ref, ref_lam = _one_solve(G, x)
-            pair = G @ (x - ref)
-            ref_gap = float(max(0.0, pair.max())) + abs(float(ref_lam @ pair))
-            ref, ref_gap = projection_engine._snap_member(x, ref, ref_gap, float(np.linalg.norm(x)))
-            assert p.tobytes() == ref.tobytes()
-            assert lam.tobytes() == ref_lam.tobytes()
-            assert gap == ref_gap
 
     def test_members_come_back_bitwise(self):
         G = _gallery_generators(512)
@@ -369,19 +367,161 @@ class TestScreenedGenerators:
             assert p.tobytes() == x.tobytes()
             assert gap <= 1e-10 * np.linalg.norm(x) ** 2
 
-    def test_working_set_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            projection_engine, "nnls", lambda A, b, maxiter=None: nnls(A, b, maxiter=1)
-        )
+    def test_does_not_copy_or_write_the_generators(self):
+        G = _gallery_generators(512)
+        assert not G.flags.writeable
+        before = G.tobytes()
+        project_conic_generators(G, np.array([3.0, 1.0, 0.5, 1.0]))
+        assert G.tobytes() == before
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        # the cap is read when the kernel runs
+        monkeypatch.setattr(projection_engine, "CONE_MAX_ITER", 1)
         G = _gallery_generators(512)
         with pytest.raises(NonConvergenceError, match="iteration cap") as info:
             project_conic_generators(G, np.array([3.0, 1.0, 0.5, 1.0]))
-        assert info.value.iterations == 3 * projection_engine.SCREEN_SIZE
+        assert info.value.iterations == 1
+        monkeypatch.setattr(projection_engine, "CONE_MAX_ITER", 20000)
+        assert project_conic_generators(G, np.array([3.0, 1.0, 0.5, 1.0]))[2] <= 1e-10
+
+    def test_no_least_squares_solve(self, monkeypatch):
+        # the weights come from the updated factor: no LAPACK solve runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("project_conic_generators called a numpy.linalg solver")
+
+        for name in ("lstsq", "solve", "qr", "svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        rng = np.random.default_rng(6)
+        for x in rng.standard_normal((10, 3)) * 3.0:
+            assert project_conic_generators(PYRAMID, x)[2] <= 1e-10 * max(1.0, np.linalg.norm(x))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_point_raises(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="finite"):
             project_conic_generators(_gallery_generators(512), np.array([bad, 0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_raises(self, bad):
+        G = PYRAMID.copy()
+        G[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            project_conic_generators(G, np.array([3.0, 1.0, 0.5]))
+
+
+class TestHugeGeneratorPoints:
+    """x.x overflows: the kernel solves at x / 2^e and scales back, with no
+    overflow warning (this suite turns warnings into errors)."""
+
+    def test_orthant_generators(self):
+        x = np.array([1e200, -1e200, 1e200])
+        p, lam, gap = project_conic_generators(np.eye(3), x)
+        assert p.tolist() == [1e200, 0.0, 1e200]
+        assert lam.tolist() == [1e200, 0.0, 1e200]
+        assert gap <= 1e-10
+
+    def test_point_outside_the_gallery_cone(self):
+        # every point of the cone has x4 >= 0; this one projects to 0
+        K = gallery.conic_hull_of_body(128)
+        r = project(K, (1e200, 0.0, 0.0, -1e200))
+        assert r.point.tolist() == [0.0] * 4
+        assert r.distance == pytest.approx(math.sqrt(2.0) * 1e200, rel=1e-15)
+        assert r.certificate_gap <= 1e-10
+
+    def test_scaled_answer_is_the_small_answer_scaled(self):
+        rng = np.random.default_rng(8)
+        G = rng.standard_normal((30, 5))
+        for x in rng.standard_normal((20, 5)):
+            big = np.ldexp(x, 700)
+            p, lam, gap = project_conic_generators(G, big)
+            e = math.frexp(float(np.abs(big).max()))[1]
+            ps, lams, gaps = project_conic_generators(G, np.ldexp(big, -e))
+            assert p.tobytes() == np.ldexp(ps, e).tobytes()
+            assert lam.tobytes() == np.ldexp(lams, e).tobytes() and gap == gaps
+
+    def test_member_comes_back_unchanged(self):
+        x = np.array([1e200, 0.0, 3e200])
+        p, _, _ = project_conic_generators(PYRAMID, x)
+        assert p.tobytes() == x.tobytes()
+
+
+@lru_cache(maxsize=None)
+def _generator_robustness_set():
+    """(kind, cone, query, G, x) at a fixed seed. For the kinds plain,
+    degenerate and x100: 250 sets of n in 1..80 generators in R^d, d in
+    2..16, with four queries each at scales 0.3, 1, 3 and 10 times the
+    generators'; degenerate sets repeat rows of their first half in the
+    second and put about half their rows on one hyperplane, x100 sets are
+    plain ones scaled by 100. psd_face: 100 sets of rank-one PSD(k) matrices
+    u u^T with u in a random r-dimensional subspace (a face of PSD(k)), k in
+    2..5, four symmetric queries each. gallery: the lifted body clouds of
+    density 512, and 2048 and 256 refined near an arc parameter, 60
+    queries each around the cloud's mean. mixed: 250 sets whose rows have
+    lengths 1e-4 to 1e4, three queries of scales 1e-2 to 1e4 and a member
+    each."""
+    rng = np.random.default_rng(0)
+    out = []
+    for kind in ("plain", "degenerate", "x100"):
+        for c in range(250):
+            d = int(rng.integers(2, 17))
+            n = int(rng.integers(1, 81))
+            G = rng.standard_normal((n, d))
+            if kind == "degenerate":
+                k = max(1, n // 2)
+                G[k:] = G[rng.integers(0, k, n - k)]
+                nrm = rng.standard_normal(d)
+                nrm /= np.linalg.norm(nrm)
+                sel = rng.random(n) < 0.5
+                G[sel] -= np.outer(G[sel] @ nrm, nrm)
+            scale = 100.0 if kind == "x100" else 1.0
+            G *= scale
+            for q in range(4):
+                out.append((kind, c, q, G, rng.standard_normal(d) * scale * (0.3, 1.0, 3.0, 10.0)[q]))
+    for c in range(100):
+        k = int(rng.integers(2, 6))
+        r = int(rng.integers(1, k + 1))
+        U = rng.standard_normal((int(rng.integers(1, 40)), r)) @ np.linalg.qr(rng.standard_normal((k, r)))[0].T
+        G = sym_to_vec(U[:, :, None] * U[:, None, :])
+        for q in range(4):
+            X = rng.standard_normal((k, k)) * (0.3, 1.0, 3.0, 10.0)[q]
+            out.append(("psd_face", c, q, G, sym_to_vec(X + X.T)))
+    for c, (density, hint) in enumerate([(512, None), (2048, 1.1), (256, 0.4)]):
+        G = _gallery_generators(density) if hint is None else _gallery_generators(density, hint)
+        center = G.mean(axis=0)
+        for q in range(60):
+            spread = rng.uniform(0.1, 3.0)
+            out.append(("gallery", c, q, G, center + rng.standard_normal(4) * [3.0, 3.0, 3.0, 1.0] * spread))
+    for c in range(250):
+        d = int(rng.integers(2, 17))
+        n = int(rng.integers(1, 81))
+        G = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4.0, 4.0, (n, 1))
+        for q in range(3):
+            out.append(("mixed", c, q, G, rng.standard_normal(d) * 10.0 ** rng.uniform(-2.0, 4.0)))
+        out.append(("mixed", c, 3, G, rng.gamma(1.0, 1.0, n) @ G))
+    return out
+
+
+class TestGeneratorRobustnessSet:
+    @pytest.mark.parametrize("kind", ["plain", "degenerate", "x100", "psd_face", "gallery"])
+    def test_certified_and_agrees_with_scipy(self, kind):
+        # scipy's solver certifies every query of the set and the kernel
+        # raises on none; their distances agree
+        for _, _, _, G, x in (case for case in _generator_robustness_set() if case[0] == kind):
+            _assert_agrees_with_scipy(G, x)
+
+    def test_mixed_lengths_certified(self):
+        # the kernel certifies every query; scipy's certified answers agree
+        # with it (scipy's rounding on the long generators leaves some of its
+        # answers uncertified, and members unsnapped)
+        oracle_certified = 0
+        for _, _, _, G, x in (case for case in _generator_robustness_set() if case[0] == "mixed"):
+            p, lam, gap = project_conic_generators(G, x)
+            s = max(1.0, float(np.linalg.norm(x)))
+            assert projection_engine._kkt_certified(*_kkt_terms(G, x, p, lam), s)
+            ref, ref_lam = _one_solve(G, x)
+            if projection_engine._kkt_certified(*_kkt_terms(G, x, ref, ref_lam), s):
+                oracle_certified += 1
+                assert abs(np.linalg.norm(x - p) - np.linalg.norm(x - ref)) <= 1e-9 * s
+        assert oracle_certified >= 900  # of 1,000
 
 
 class TestCompositeSpecs:
@@ -1162,10 +1302,8 @@ class TestCertifiedOrRaise:
         with pytest.raises(NonConvergenceError, match="iteration cap"):
             project_hull(pts, np.array([1.0, 1.0]))
 
-    def test_nnls_iteration_cap_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            projection_engine, "nnls", lambda A, b, maxiter=None: nnls(A, b, maxiter=1)
-        )
+    def test_generator_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(projection_engine, "CONE_MAX_ITER", 1)
         with pytest.raises(NonConvergenceError, match="iteration cap"):
             project_conic_generators(PYRAMID, np.array([3.0, 1.0, 0.5]))
 
