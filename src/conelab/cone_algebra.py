@@ -35,6 +35,7 @@ from .linalg_core import (
     orthonormalize,
     row_dots,
     row_norms,
+    sorted_unique,
     sym_to_vec,
     sym_vec_dim,
     unit_sphere_grid,
@@ -625,7 +626,7 @@ class PsdCone(_SymmetricCone):
     def _dual_rays(self, n, seed):
         V = unit_sphere_grid(self.n, n, seed=seed)
         rows = sym_to_vec(V[:, :, None] * V[:, None, :])
-        return _unit_rows(np.unique(np.round(rows, 12), axis=0))
+        return _unit_rows(sorted_unique(np.round(rows, 12)))
 
 
 # The method label of a product's projection is that of its factor ranked last.

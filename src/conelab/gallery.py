@@ -51,10 +51,19 @@ from .cone_algebra import (
     MembershipResult,
     SliceSpec,
     _classify,
+    _unsquared,
     membership,
 )
 from .facial_structure import DualSumResult, FaceHandle
-from .linalg_core import DEFAULT_TOL, Tolerance, norm_scale, orthonormalize, row_dots, row_norms
+from .linalg_core import (
+    DEFAULT_TOL,
+    Tolerance,
+    norm_scale,
+    orthonormalize,
+    row_dots,
+    row_norms,
+    sorted_unique,
+)
 from .projection_engine import (
     ProjectionResult,
     _norm,
@@ -174,7 +183,8 @@ def curve_cloud(density: int, gamma_extra=(), windows=()):
 
     The circles and the base arc grid are built once per density and cached
     read-only; every call returns fresh arrays, so writing into one changes
-    no later call.
+    no later call. The arc parameters are merged by linalg_core.sorted_unique,
+    not np.unique, whose first call imports numpy.ma into the process.
     """
     circles, circle_tags, grid = _fixed_rows(density)
     parts = [grid]
@@ -184,7 +194,7 @@ def curve_cloud(density: int, gamma_extra=(), windows=()):
         lo = max(0.0, center - halfwidth)
         hi = min(np.pi, center + halfwidth)
         parts.append(np.linspace(lo, hi, count))
-    sg = np.unique(np.concatenate(parts))
+    sg = sorted_unique(np.concatenate(parts))
     return np.vstack([circles, curve_gamma(sg)]), np.concatenate([circle_tags, sg])
 
 
@@ -203,8 +213,15 @@ def curve_cloud(density: int, gamma_extra=(), windows=()):
 # t in (0, 2*pi); it grows like const / t^2 toward the seam.
 
 
+def _height_gap(s):
+    """1 - height(s), as the identity 2 sin^4(s/2) (2 + cos s): the plain
+    difference loses its digits as s -> 0 and is 0.0 below s of about 1e-4,
+    while near the seam the ratio peaks at s of about 0.19 t."""
+    return 2.0 * np.sin(0.5 * s) ** 4 * (2.0 + np.cos(s))
+
+
 def _normal_ratio(s, t):
-    return (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0) / (1.0 - gamma_height(s))
+    return (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0) / _height_gap(s)
 
 
 def _ratio_grid_max(t: float, n_grid: int):
@@ -217,7 +234,9 @@ def _ratio_grid_max(t: float, n_grid: int):
     order = np.argsort(r)[::-1][:5]
     best_v, best_s = -np.inf, float(s[int(order[0])])
     for j in order:
-        lo = s[max(0, int(j) - 2)]
+        # from the first two grid points the polish reaches down to s = 0:
+        # near the seam the peak can lie below the first grid point
+        lo = s[int(j) - 2] if j >= 2 else 0.0
         hi = s[min(len(s) - 1, int(j) + 2)]
         res = minimize_scalar(
             lambda q: -_normal_ratio(q, t),
@@ -240,10 +259,10 @@ def _min_separation_slack(t: float, u: float, n: int):
     from scipy.optimize import minimize_scalar
 
     s = np.linspace(0.0, np.pi, n + 2)[1:-1]
-    slack = u * (1.0 - gamma_height(s)) - (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0)
+    slack = u * _height_gap(s) - (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0)
     j = int(np.argmin(slack))
     res = minimize_scalar(
-        lambda q: u * (1.0 - gamma_height(q)) - (2.0 * np.cos(t - 2.0 * q) - np.cos(t) - 1.0),
+        lambda q: u * _height_gap(q) - (2.0 * np.cos(t - 2.0 * q) - np.cos(t) - 1.0),
         bounds=(float(s[max(0, j - 2)]), float(s[min(len(s) - 1, j + 2)])),
         method="bounded",
         options={"xatol": 1e-15},
@@ -268,13 +287,22 @@ def exposing_normal_u(t: float) -> float:
     proportional to its size; a flat additive pad would drown in that noise.
 
     Raises VerificationGridError if the separation fails even after one
-    refinement of the maximization grid.
+    refinement of the maximization grid, and for t so close to the seam that
+    the verifying grid cannot see the ratio's peak.
     """
     from scipy.optimize import minimize_scalar
 
     t = float(t)
     if not 0.0 < t < 2.0 * np.pi:
         raise ValueError("parameter must lie strictly between 0 and 2*pi")
+    # Near the seam the ratio is positive only for s/t in ((2 - sqrt 2)/4,
+    # (2 + sqrt 2)/4), to leading order, and its numerator peaks at s = t/2.
+    # A verifying grid whose first point lies past t/2 may see no positive
+    # ratio at all and pass the bare margin as u.
+    if t <= 2.0 * np.pi / (_NORMAL_VERIFY_N + 1):
+        raise VerificationGridError(
+            f"t={t} is too close to the seam for the {_NORMAL_VERIFY_N}-point verifying grid"
+        )
     margin = _NORMAL_MARGIN
     v, _ = _ratio_grid_max(t, _NORMAL_GRID)
     u = (1.0 + margin) * max(0.0, v) + margin
@@ -434,7 +462,7 @@ def _project_body(x: np.ndarray, density: int, rounds: int = 3) -> ProjectionRes
         arc_support = tags[sup][tags[sup] >= 0.0]
         halfwidth = (np.pi / density) / (4.0**r)
         windows = [(float(c), 2.0 * halfwidth, 33) for c in arc_support]
-        extra = list(np.unique(np.concatenate([extra, arc_support])))
+        extra = sorted_unique(np.concatenate([extra, arc_support]))
     return best
 
 
@@ -928,7 +956,7 @@ def lifted_disk_face(K: GallerySet) -> FaceHandle:
     )
 
     def member(x, tol=DEFAULT_TOL):
-        x = np.asarray(x, dtype=float)
+        x = _unsquared(x)
         return bool(
             abs(x[2] - x[3]) <= 1e-9 * max(1.0, np.linalg.norm(x))
             and np.linalg.norm(x[:2]) <= x[3] + 1e-9
@@ -970,7 +998,7 @@ def seam_face(K_tilde: GallerySet) -> FaceHandle:
 
     def member(x, tol=DEFAULT_TOL):
         # one point or a (..., 4) stack; coordinates in the generator pair
-        x = np.asarray(x, dtype=float)
+        x = _unsquared(x)
         a = (x[..., 3] + x[..., 2]) / 2.0
         b = (x[..., 3] - x[..., 2]) / 2.0
         rebuilt = a[..., None] * gen_top + b[..., None] * gen_bottom
@@ -1007,7 +1035,7 @@ def _seam_conjugate_face(parent_dual: GallerySet, generators: np.ndarray) -> Fac
     generators = np.asarray(generators, dtype=float)
 
     def member(x, tol=DEFAULT_TOL):
-        x = np.asarray(x, dtype=float)
+        x = _unsquared(x)
         return bool(np.linalg.norm(x - projector(x)) <= 1e-9 * max(1.0, float(np.linalg.norm(x))))
 
     def projector(x):
@@ -1061,7 +1089,7 @@ def seam_ray_faces(K_tilde: GallerySet) -> tuple:
 
         def member(x, tol=DEFAULT_TOL, unit=unit):
             # one point or a (..., 4) stack
-            x = np.asarray(x, dtype=float)
+            x = _unsquared(x)
             coef = row_dots(x, unit)
             eps = 1e-9 * norm_scale(x)
             return (coef >= -eps) & (row_norms(coef[..., None] * unit - x) <= eps)

@@ -43,7 +43,7 @@ import numpy as np
 
 from .cone_algebra import ConeSpec, SliceSpec, UnsupportedVariantError, get_slice
 from .facial_structure import FaceHandle, face_projection
-from .linalg_core import complement_basis, row_norms, unit_sphere_grid
+from .linalg_core import complement_basis, row_norms, sorted_unique, unit_sphere_grid
 from .projection_engine import project, project_conic_generators, project_hull
 
 __all__ = [
@@ -261,7 +261,7 @@ def face_sphere_directions(F: FaceHandle, n_dirs: int = 4096) -> np.ndarray:
     keep = nrm > 1e-9
     if not keep.any():
         raise DegenerateFaceError("no grid direction has a nonzero face projection")
-    return np.unique(np.round(P[keep] / nrm[keep, None], 12), axis=0)
+    return sorted_unique(np.round(P[keep] / nrm[keep, None], 12))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
     "row_norms",
     "row_dots",
     "norm_scale",
+    "sorted_unique",
     "unit_sphere_grid",
 ]
 
@@ -299,6 +300,28 @@ def norm_scale(A: np.ndarray) -> np.ndarray:
     for one row: 1.0 for a NaN norm, where np.maximum would give NaN."""
     n = row_norms(A)
     return np.where(n > 1.0, n, 1.0)
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique of 1-d values, or np.unique(axis=0) of the rows of a 2-d
+    array, all free of NaN: ascending values, or rows in lexicographic order (first column
+    first), one of each run of equal entries kept, same dtype. Every zero
+    comes back as +0.0, where np.unique keeps whichever signed zero its
+    unstable sort puts first.
+
+    Not np.unique itself, because numpy 2's first np.unique call imports
+    numpy.ma (to ask whether its argument is masked), and that import costs
+    each process over a megabyte of resident memory and tens of
+    milliseconds."""
+    a = np.asarray(a)
+    s = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
+    keep = np.ones(s.shape[0], dtype=bool)
+    differ = s[1:] != s[:-1]
+    keep[1:] = differ if a.ndim == 1 else differ.any(axis=1)
+    s = s[keep]
+    if s.dtype.kind == "f":
+        s += 0.0  # -0.0 + 0.0 is +0.0; every other value keeps its bits
+    return s
 
 
 # ---------------------------------------------------------------------------

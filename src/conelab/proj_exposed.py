@@ -56,7 +56,7 @@ from .facial_structure import (
     is_exposed,
     minimal_face,
 )
-from .linalg_core import BoundedRegion, row_norms
+from .linalg_core import BoundedRegion, row_norms, sorted_unique
 from .projection_engine import (
     NonConvergenceError,
     dykstra_projectors,
@@ -535,7 +535,7 @@ def sung_tam_probe(
             hits.append(rays[int(np.argmin(masked))])
     found = all(count > 0 for _, count in levels)
     if hits:
-        reps = np.unique(np.round(np.vstack(hits), 12), axis=0)
+        reps = sorted_unique(np.round(np.vstack(hits), 12))
     else:
         reps = np.zeros((0, rays.shape[1]))
     nearest = float(dists[distinct].min()) if bool(distinct.any()) else float("inf")

@@ -15,7 +15,7 @@ from conelab.cone_algebra import (
     dual_cone,
     membership,
 )
-from conelab.facial_structure import is_exposed
+from conelab.facial_structure import face_contains, is_exposed
 from conelab.projection_engine import MEMBER_SNAP, project
 
 
@@ -191,6 +191,22 @@ class TestExposingNormals:
         u1 = G.exposing_normal_u(0.1)
         u2 = G.exposing_normal_u(0.05)
         assert u2 / u1 == pytest.approx(4.0, rel=0.25)
+
+    @pytest.mark.parametrize("t", [3e-3, 1e-3, 5e-4, 4e-4])
+    def test_seam_limit_without_cancellation(self, t):
+        # near the peak s ~ 0.19 t, 1 - height(s) ~ 3 s^4 / 8 is below the
+        # rounding of a plain difference (0.0 would divide by zero, an error
+        # here); u(t) t^2 tends to (64/3) phi^5 = 236.590..., times 1.001
+        # for the margin
+        phi5 = ((1.0 + 5.0**0.5) / 2.0) ** 5
+        assert G.exposing_normal_u(t) * t * t == pytest.approx(64.0 / 3.0 * phi5 * 1.001, rel=1e-5)
+
+    @pytest.mark.parametrize("t", [2e-4, 1e-4])
+    def test_too_close_to_the_seam_for_the_grid(self, t):
+        # no verifying grid point sees a positive ratio, so the bare margin
+        # would pass as u(t)
+        with pytest.raises(G.VerificationGridError, match="too close to the seam"):
+            G.exposing_normal_u(t)
 
 
 class TestWitnessCurve:
@@ -616,6 +632,61 @@ class TestCylinderObjects:
         assert not F.contains(np.array([1.0, 0.0, 0.0, 1.0]))
         assert not F.contains(np.array([0.0, 0.0, 0.0, 1.0]))
         assert not F.contains(np.array([1.0, 0.0, 0.0, -1.0]))
+
+
+def _huge_point_faces():
+    cyl = G.cylinder_hull_objects().hull
+    top, bottom = G.seam_ray_faces(cyl)
+    return {
+        "seam": G.seam_face(cyl),
+        "seam_ray_top": top,
+        "seam_ray_bottom": bottom,
+        "lifted_disk_cylinder": G.lifted_disk_face(cyl),
+        "lifted_disk_body_hull": G.lifted_disk_face(G.conic_hull_of_body(512)),
+    }
+
+
+class TestHugePointFaceMembership:
+    """The gallery faces decide a point whose x.x overflows at x / 2^e, as the
+    atom faces do, with no overflow warning (an error here)."""
+
+    HUGE = np.array([
+        [1e200, 0.0, 1e200, 1e200],
+        [1e200, 0.0, -1e200, 1e200],
+        [1e200, 1e199, 1e200, 1e200],
+        [-1e200, 0.0, 1e200, 1e200],
+        [1e200, 0.0, 1e200, 5e199],
+    ])
+    # per face, the verdict on each HUGE row
+    EXPECTED = {
+        "seam": [True, True, False, False, False],
+        "seam_ray_top": [True, False, False, False, False],
+        "seam_ray_bottom": [False, True, False, False, False],
+        "lifted_disk_cylinder": [True, False, False, True, False],
+        "lifted_disk_body_hull": [True, False, False, True, False],
+    }
+
+    @pytest.mark.parametrize("name", list(EXPECTED))
+    def test_single_points_and_stacks(self, name):
+        F = _huge_point_faces()[name]
+        single = [F.contains(x) for x in self.HUGE]
+        assert single == self.EXPECTED[name]
+        rng = np.random.default_rng(3)
+        normal = np.vstack([F.descriptor["sampler"](4, rng), rng.standard_normal((4, 4))])
+        X = np.vstack([normal, self.HUGE, 1e-3 * self.HUGE])
+        stacked = face_contains(F, X).tolist()
+        # every stacked verdict is the single-point one; a cone face holds
+        # 1e-3 x iff it holds x
+        assert stacked == [F.contains(x) for x in X]
+        assert stacked[8:] == 2 * self.EXPECTED[name]
+        assert stacked[:4] == [True] * 4
+
+    def test_seam_ray_conjugate_face(self):
+        F = G.seam_ray_faces(G.cylinder_hull_objects().hull)[0].descriptor["conjugate_factory"]()
+        X = np.array([[-1.0, 0.0, 0.0, 1.0], [-1.0, 0.0, -1.0, 2.0], [1.0, 0.0, 0.0, 1.0]])
+        for scale in (1.0, 1e200):
+            assert [F.contains(x) for x in scale * X] == [True, True, False]
+            assert face_contains(F, scale * X).tolist() == [True, True, False]
 
 
 class TestLiftedDiskFace:

@@ -222,7 +222,8 @@ class TestAntipodality:
 
 def _reference_sphere_directions(F, n_dirs):
     """face_sphere_directions as a row-by-row loop: one face projection and
-    one np.linalg.norm per grid direction."""
+    one np.linalg.norm per grid direction; the rows are de-duplicated by
+    np.unique, with each zero then written as +0.0."""
     grid = unit_sphere_grid(F.face_dim, n_dirs) @ F.span_basis
     dirs = []
     for g in grid:
@@ -230,7 +231,7 @@ def _reference_sphere_directions(F, n_dirs):
         nrm = float(np.linalg.norm(p))
         if nrm > 1e-9:
             dirs.append(p / nrm)
-    return np.unique(np.round(np.asarray(dirs), 12), axis=0)
+    return np.unique(np.round(np.asarray(dirs), 12), axis=0) + 0.0
 
 
 def _sphere_direction_faces():

@@ -1,10 +1,12 @@
 """conelab imports numpy alone and loads scipy on the first call that needs it:
 only the minimisation routes of facial_structure and the gallery's exposing
-normals do. Projections, generator cones among them, never load it.
+normals do. Projections, generator cones among them, never load it. Nor do
+the numpy-only routes load numpy.ma, which np.unique imports on its first call
+(linalg_core.sorted_unique stands in for it).
 
 Each case runs in a fresh interpreter, because this test process already
 holds scipy. The case's last line of output is a JSON object holding the
-scipy modules loaded by then.
+scipy and numpy.ma modules loaded by then.
 """
 import json
 import os
@@ -22,6 +24,7 @@ REPORT = """
 import json as _json, sys as _sys
 _out = dict(globals().get("extra", {}))
 _out["scipy"] = sorted(m for m in _sys.modules if m == "scipy" or m.startswith("scipy."))
+_out["numpy_ma"] = sorted(m for m in _sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
 print(_json.dumps(_out))
 """
 
@@ -55,6 +58,7 @@ def test_gallery_probe_loads_no_scipy():
     )
     assert out["verdict"] == "growth_detected"
     assert out["scipy"] == []
+    assert out["numpy_ma"] == []
 
 
 @pytest.mark.parametrize("name", ["sturm", "witness_asymptotics", "det_M", "dual_sum", "moreau"])
@@ -113,6 +117,7 @@ def test_verify_slice_bound_loads_no_scipy(cone):
     )
     assert out["kept"] > 0 and out["violations"] == 0
     assert out["scipy"] == []
+    assert out["numpy_ma"] == []
 
 
 def test_generator_faces_and_polyhedral_projections_load_no_scipy():
@@ -137,6 +142,42 @@ def test_generator_faces_and_polyhedral_projections_load_no_scipy():
     assert out["scipy"] == []
 
 
+# Each case de-duplicates rows: face_sphere_directions (called by the rank-two
+# construction on a face without stored generators) and the PSD dual rays.
+NUMPY_MA_CASES = {
+    "rank_two_projections": (
+        "from conelab.checks import _diagonal_psd_face\n"
+        "from conelab.cone_algebra import NonnegativeOrthant, PsdCone\n"
+        "from conelab.facial_structure import minimal_face\n"
+        "from conelab.proj_exposed import build_rank_two_projection\n"
+        "K, O = PsdCone(2), NonnegativeOrthant(3)\n"
+        "maps = [build_rank_two_projection(K, _diagonal_psd_face(K)),\n"
+        "        build_rank_two_projection(O, minimal_face(O, np.array([1.0, 1.0, 0.0])))]\n"
+        "extra = {'ok': all(m.certified for m in maps)}\n"
+    ),
+    "face_sphere_directions": (
+        "from conelab.cone_algebra import PsdCone\n"
+        "from conelab.facial_structure import minimal_face\n"
+        "from conelab.hull_constants import face_sphere_directions\n"
+        "from conelab.linalg_core import sym_to_vec\n"
+        "F = minimal_face(PsdCone(3), sym_to_vec(np.diag([1.0, 1.0, 0.0])))\n"
+        "extra = {'ok': face_sphere_directions(F, 256).shape[1] == 6}\n"
+    ),
+    "psd_dual_rays": (
+        "from conelab.cone_algebra import PsdCone\n"
+        "from conelab.proj_exposed import extreme_ray_samples\n"
+        "extra = {'ok': extreme_ray_samples(PsdCone(2), 64).shape[1] == 3}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NUMPY_MA_CASES))
+def test_row_deduplication_loads_no_numpy_ma(name):
+    out = _run_fresh("import numpy as np\n" + NUMPY_MA_CASES[name])
+    assert out["ok"] is True
+    assert out["numpy_ma"] == []
+
+
 BENCH = SRC.parent / "bench"
 
 
@@ -153,3 +194,4 @@ def test_benchmark_instances_load_no_scipy(name):
     )
     assert out["checked"] > 0 and out["failed"] == 0
     assert out["scipy"] == []
+    assert out["numpy_ma"] == []

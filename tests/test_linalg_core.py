@@ -17,6 +17,7 @@ from conelab.linalg_core import (
     _triangle,
     orthonormalize,
     row_norms,
+    sorted_unique,
     sym_to_vec,
     sym_vec_dim,
     unit_sphere_grid,
@@ -459,3 +460,42 @@ class TestUnitSphereGrid:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             unit_sphere_grid(0)
+
+
+# a few values, signed zeros among them, so that draws repeat values and rows
+_POOL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -2e200, np.inf])
+_UNIQUE_ENTRIES = st.one_of(_POOL, st.floats(allow_nan=False, width=64))
+
+
+def _assert_unique_matches(got, ref):
+    """Same shape, dtype and entries as np.unique's answer, in the same order,
+    with each zero +0.0 (-0.0 + 0.0 is +0.0; every other entry keeps its bits)."""
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == (ref + 0.0).tobytes()
+    assert not np.any(np.signbit(got[got == 0.0]))
+
+
+class TestSortedUnique:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 30), elements=_UNIQUE_ENTRIES))
+    def test_values_match_np_unique(self, a):
+        _assert_unique_matches(sorted_unique(a), np.unique(a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(0, 12), st.integers(1, 4)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.one_of(_POOL, _POOL, _UNIQUE_ENTRIES))))
+    def test_rows_match_np_unique_axis0(self, a):
+        _assert_unique_matches(sorted_unique(a), np.unique(a, axis=0))
+
+    @pytest.mark.parametrize("a", [
+        np.zeros(0), np.array([-0.0]), np.array([3.5]), np.zeros((0, 3)),
+        np.array([[-0.0, 1.0, -2.0]]), np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    ])
+    def test_empty_and_one_element(self, a):
+        _assert_unique_matches(sorted_unique(a), np.unique(a, axis=0 if a.ndim == 2 else None))
+
+    def test_keeps_integer_dtype_and_leaves_input_alone(self):
+        a = np.array([3, 1, 3, -2])
+        got = sorted_unique(a)
+        assert got.dtype == a.dtype and got.tolist() == [-2, 1, 3]
+        assert a.tolist() == [3, 1, 3, -2]
