@@ -829,7 +829,9 @@ class LinearImageCone(ConeSpec):
 @dataclass(frozen=True, eq=False)
 class SliceSpec:
     """Compact slice data for a conic hull: the hull of `sampler(density)` inside
-    the hyperplane {x : <e, x> = level}."""
+    the hyperplane {x : <e, x> = level}. The normal e must be finite and
+    nonzero, with a norm inside the float range, and the level finite and
+    positive."""
 
     e: np.ndarray
     sampler: Callable[[int], np.ndarray]
@@ -837,12 +839,42 @@ class SliceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "e", _freeze(self.e))
-        if self.level <= 0:
-            raise ValueError("slice level must be positive")
+        if not np.isfinite(self.e).all():
+            raise ValueError("slice normal e must be finite")
+        if not self.e.any():
+            raise ValueError("slice normal e must be nonzero")
+        if not 0.0 < vec_norm(self.e) < math.inf:
+            raise ValueError("||e|| is past the float range")
+        if not (math.isfinite(self.level) and self.level > 0):
+            raise ValueError("slice level must be finite and positive")
 
     @property
     def dim(self) -> int:
         return self.e.shape[0]
+
+    @cached_property
+    def tangent_basis(self) -> np.ndarray:
+        """Orthonormal rows spanning the hyperplane's directions {x : <e, x> = 0}:
+        rows 1.. of the Householder reflector H = I - tau v v^T that maps the
+        unit normal n = e / ||e|| onto the first axis, built by LAPACK's dlarfg
+        conventions (beta = -sign(n_0) ||n||, tau = (beta - n_0) / beta,
+        v = (1, n_1: / (n_0 - beta))), or rows 1.. of the identity when
+        n_1: = 0, where the reflector is I. Computed once per spec.
+
+        It stands in for complement_basis(n[None], d), whose 1 x d SVD is
+        the one LAPACK call of the slice bound: LAPACK's first use maps about
+        a megabyte of its pages into the process. That SVD factors the row
+        by the same reflector, so on every +-coordinate axis the two bases
+        are equal bit for bit (and the slice bound's sampled queries with
+        them), and for any other normal they agree to rounding."""
+        n = self.e / vec_norm(self.e)
+        head, tail = float(n[0]), n[1:]
+        if not tail.any():
+            return _freeze(np.eye(self.dim)[1:])
+        beta = -math.copysign(vec_norm(n), head)
+        tau = (beta - head) / beta
+        v = np.concatenate(([1.0], tail * (1.0 / (head - beta))))
+        return _freeze(np.eye(self.dim)[1:] - tau * np.outer(v[1:], v))
 
 
 @dataclass(frozen=True, eq=False)

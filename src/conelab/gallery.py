@@ -255,10 +255,16 @@ def _min_separation_slack(t: float, u: float, n: int):
     The factored form avoids the cancellation that plagues the plain ratio
     comparison when u is large. Positive everywhere means p(t) strictly
     separates alpha(t) from the whole arc.
+
+    The n-point grid over (0, pi) gains an n-point window over (0, 2t)
+    whenever 2t < pi: near the seam the slack can be negative only where the
+    numerator is positive, for s in (0, t), a cell of the arc grid or less.
     """
     from scipy.optimize import minimize_scalar
 
     s = np.linspace(0.0, np.pi, n + 2)[1:-1]
+    if 2.0 * t < np.pi:
+        s = np.sort(np.concatenate([s, np.linspace(0.0, 2.0 * t, n + 2)[1:-1]]))
     slack = u * _height_gap(s) - (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0)
     j = int(np.argmin(slack))
     res = minimize_scalar(
@@ -287,32 +293,26 @@ def exposing_normal_u(t: float) -> float:
     proportional to its size; a flat additive pad would drown in that noise.
 
     Raises VerificationGridError if the separation fails even after one
-    refinement of the maximization grid, and for t so close to the seam that
-    the verifying grid cannot see the ratio's peak.
+    refinement of the maximization grid.
     """
     from scipy.optimize import minimize_scalar
 
     t = float(t)
     if not 0.0 < t < 2.0 * np.pi:
         raise ValueError("parameter must lie strictly between 0 and 2*pi")
-    # Near the seam the ratio is positive only for s/t in ((2 - sqrt 2)/4,
-    # (2 + sqrt 2)/4), to leading order, and its numerator peaks at s = t/2.
-    # A verifying grid whose first point lies past t/2 may see no positive
-    # ratio at all and pass the bare margin as u.
-    if t <= 2.0 * np.pi / (_NORMAL_VERIFY_N + 1):
-        raise VerificationGridError(
-            f"t={t} is too close to the seam for the {_NORMAL_VERIFY_N}-point verifying grid"
-        )
     margin = _NORMAL_MARGIN
     v, _ = _ratio_grid_max(t, _NORMAL_GRID)
     u = (1.0 + margin) * max(0.0, v) + margin
-    slack, s_bad = _min_separation_slack(t, u, _NORMAL_VERIFY_N)
+    slack, _ = _min_separation_slack(t, u, _NORMAL_VERIFY_N)
     if slack <= 0.0:
-        # refine once: denser global grid plus a window at the violation
+        # refine once: denser global grid plus a search over (0, t), the
+        # only arc parameters where the ratio's numerator is positive (near
+        # the seam for s/t in ((2 - sqrt 2)/4, (2 + sqrt 2)/4) to leading
+        # order, with the peak at s of about 0.19 t)
         v2, _ = _ratio_grid_max(t, 8 * _NORMAL_GRID)
         res = minimize_scalar(
             lambda q: -_normal_ratio(q, t),
-            bounds=(max(1e-12, s_bad - 1e-3), min(np.pi - 1e-12, s_bad + 1e-3)),
+            bounds=(1e-6 * t, min(t, np.pi)),
             method="bounded",
             options={"xatol": 1e-15},
         )

@@ -37,13 +37,14 @@ diagnostic upper bound; it decreases monotonically as the grid refines.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cone_algebra import ConeSpec, SliceSpec, UnsupportedVariantError, get_slice
 from .facial_structure import FaceHandle, face_projection
-from .linalg_core import complement_basis, row_norms, sorted_unique, unit_sphere_grid
+from .linalg_core import row_norms, sorted_unique, unit_sphere_grid, vec_norm
 from .projection_engine import project, project_conic_generators, project_hull
 
 __all__ = [
@@ -369,23 +370,25 @@ def verify_slice_bound(
     gaps for the sampled cone; violations beyond the report's ``tol``
     (1e-8) are counted as findings rather than raised.
     """
+    if n_samples < 0:
+        raise ValueError("n_samples must be nonnegative")
+    if not (math.isfinite(spread) and spread > 0):
+        raise ValueError("spread must be finite and positive")
     slice_spec = get_slice(K)
     if slice_spec is None:
         raise UnsupportedVariantError("the cone spec carries no slice data")
     cloud = np.asarray(slice_spec.sampler(density), dtype=float)
     if cloud.size == 0:
         raise ValueError("slice sampler produced no points")
-    d = cloud.shape[1]
-    e = slice_spec.e
-    e_norm = float(np.linalg.norm(e)) / slice_spec.level
-    r = float(np.linalg.norm(cloud, axis=1).max())
-    e_unit = (e / np.linalg.norm(e))[None, :]
-    tangent = complement_basis(e_unit, d)
+    e_norm = vec_norm(slice_spec.e) / slice_spec.level
+    # np.linalg.norm(., axis=1)'s own arithmetic, without numpy.linalg
+    r = float(np.sqrt((cloud * cloud).sum(axis=1)).max())
+    tangent = slice_spec.tangent_basis
     center = cloud.mean(axis=0)
 
     rng = np.random.default_rng(seed)
     coords = rng.standard_normal((n_samples, tangent.shape[0]))
-    norms = np.linalg.norm(coords, axis=1, keepdims=True)
+    norms = np.sqrt((coords * coords).sum(axis=1, keepdims=True))
     radii = rng.uniform(0.0, spread * r, size=(n_samples, 1))
     points = center + (coords / np.maximum(norms, 1e-300) * radii) @ tangent
 
@@ -396,11 +399,11 @@ def verify_slice_bound(
     worst = -np.inf
     for x in points:
         p, _, _ = project_conic_generators(cloud, x)
-        if float(np.linalg.norm(p)) <= 1e-9 * max(1.0, float(np.linalg.norm(x))):
+        if vec_norm(p) <= 1e-9 * max(1.0, vec_norm(x)):
             rejected += 1
             continue
         kept += 1
-        dist_cone = float(np.linalg.norm(x - p))
+        dist_cone = vec_norm(x - p)
         dist_slice = float(project_hull(cloud, x).distance)
         margin = dist_slice - e_norm * r * dist_cone
         worst = max(worst, margin)

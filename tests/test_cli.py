@@ -150,6 +150,14 @@ class TestSpecParsing:
             "polyhedral, halfspace, subspace, product, intersection, linear_image, hull, gallery\n"
         )
 
+    def test_hull_normal_must_be_nonzero(self, capsys, tmp_path):
+        p = tmp_path / "hull.json"
+        p.write_text(json.dumps({"type": "hull", "points": [[0, 0, 1], [1, 0, 1]], "e": [0, 0, 0]}))
+        code, out, err = _run(capsys, ["project", "--spec", str(p), "--point", "1,0,1"])
+        assert code == 1
+        assert out == ""
+        assert "slice normal e must be nonzero" in err
+
     @pytest.mark.parametrize("parts", [5, {"a": 1}, "orthant"])
     def test_intersection_parts_must_be_a_list(self, capsys, tmp_path, parts):
         p = tmp_path / "parts.json"

@@ -1,6 +1,9 @@
 """Tests for cone constructors, membership, duals, slices, and sampling."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conelab.cone_algebra import (
     ConicHull,
@@ -27,7 +30,7 @@ from conelab.cone_algebra import (
     sample_points,
     support_value,
 )
-from conelab.linalg_core import sym_to_vec, vec_to_sym
+from conelab.linalg_core import complement_basis, sym_to_vec, vec_to_sym
 from conelab.projection_engine import project
 
 
@@ -100,6 +103,23 @@ class TestConstructors:
     def test_slice_level_positive(self):
         with pytest.raises(ValueError):
             SliceSpec(e=np.ones(2), sampler=lambda n: np.zeros((1, 2)), level=0.0)
+
+    @pytest.mark.parametrize(
+        "e, level, match",
+        [
+            ((0.0, 0.0), 1.0, "nonzero"),
+            ((np.inf, 1.0), 1.0, "finite"),
+            ((np.nan, 1.0), 1.0, "finite"),
+            ((1e200, 1e200), 1.0, "past the float range"),
+            ((1e-200, 0.0), 1.0, "past the float range"),
+            ((0.0, 1.0), np.nan, "level must be finite and positive"),
+            ((0.0, 1.0), np.inf, "level must be finite and positive"),
+            ((0.0, 1.0), -1.0, "level must be finite and positive"),
+        ],
+    )
+    def test_slice_bad_normal_or_level(self, e, level, match):
+        with pytest.raises(ValueError, match=match):
+            SliceSpec(e=np.array(e), sampler=lambda n: np.zeros((1, 2)), level=level)
 
 
 class TestMembership:
@@ -355,6 +375,42 @@ class TestSlices:
     def test_support_value(self):
         pts = np.array([[1.0, 0.0], [0.0, 2.0]])
         assert support_value(pts, [1.0, 1.0]) == pytest.approx(2.0)
+
+
+def _axis(d: int, k: int, sign: float) -> np.ndarray:
+    e = np.zeros(d)
+    e[k] = sign
+    return e
+
+
+class TestSliceTangentBasis:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_equals_the_svd_basis_bitwise_on_every_axis(self, d):
+        # tobytes compares the signs of zeros too
+        for k in range(d):
+            for sign in (1.0, -1.0):
+                e = _axis(d, k, sign)
+                basis = SliceSpec(e=3.0 * e, sampler=None).tangent_basis
+                assert basis.tobytes() == complement_basis(e[None], d).tobytes()
+
+    @given(
+        arrays(np.float64, st.integers(2, 8), elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+        .filter(lambda e: np.abs(e).max() > 1e-6)
+    )
+    def test_orthonormal_and_close_to_the_svd_basis(self, e):
+        n = e / np.linalg.norm(e)
+        basis = SliceSpec(e=e, sampler=None).tangent_basis
+        d = e.shape[0]
+        assert basis.shape == (d - 1, d)
+        np.testing.assert_allclose(basis @ basis.T, np.eye(d - 1), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(basis @ n, 0.0, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(basis, complement_basis(n[None], d), rtol=0.0, atol=1e-15)
+
+    def test_computed_once_per_spec(self):
+        spec = SliceSpec(e=np.array([1.0, 2.0, 2.0]), sampler=None)
+        basis = spec.tangent_basis
+        assert spec.tangent_basis is basis
+        assert not basis.flags.writeable
 
 
 class TestSampling:

@@ -201,12 +201,17 @@ class TestExposingNormals:
         phi5 = ((1.0 + 5.0**0.5) / 2.0) ** 5
         assert G.exposing_normal_u(t) * t * t == pytest.approx(64.0 / 3.0 * phi5 * 1.001, rel=1e-5)
 
-    @pytest.mark.parametrize("t", [2e-4, 1e-4])
-    def test_too_close_to_the_seam_for_the_grid(self, t):
-        # no verifying grid point sees a positive ratio, so the bare margin
-        # would pass as u(t)
-        with pytest.raises(G.VerificationGridError, match="too close to the seam"):
-            G.exposing_normal_u(t)
+    @pytest.mark.parametrize("t", [3e-4, 2e-4, 1e-4])
+    def test_verified_next_to_the_seam(self, t):
+        # the peak at s ~ 0.19 t lies below the arc grid's first point; the
+        # verifying window over (0, 2t) sees it, and the normal separates
+        # alpha(t) from every point of a finer window
+        phi5 = ((1.0 + 5.0**0.5) / 2.0) ** 5
+        u = G.exposing_normal_u(t)
+        assert u * t * t == pytest.approx(64.0 / 3.0 * phi5 * 1.001, abs=1e-3)
+        s = np.linspace(0.0, 2.0 * t, 200_002)[1:-1]
+        slack = u * G._height_gap(s) - (2.0 * np.cos(t - 2.0 * s) - np.cos(t) - 1.0)
+        assert slack.min() > 0.0
 
 
 class TestWitnessCurve:

@@ -355,6 +355,21 @@ class TestSliceBound:
         with pytest.raises(UnsupportedVariantError):
             verify_slice_bound(NonnegativeOrthant(3), n_samples=8)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n_samples": -1}, "n_samples"),
+            ({"spread": float("nan")}, "spread"),
+            ({"spread": float("inf")}, "spread"),
+            ({"spread": 0.0}, "spread"),
+            ({"spread": -1.0}, "spread"),
+        ],
+    )
+    def test_bad_arguments_raise(self, kwargs, match):
+        poly = ConicHull(_disk_slice())
+        with pytest.raises(ValueError, match=match):
+            verify_slice_bound(poly, **{"n_samples": 8, "density": 16, **kwargs})
+
 
 # ---------------------------------------------------------------------------
 # Monotone shift verifier

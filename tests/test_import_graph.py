@@ -2,7 +2,8 @@
 only the minimisation routes of facial_structure and the gallery's exposing
 normals do. Projections, generator cones among them, never load it. Nor do
 the numpy-only routes load numpy.ma, which np.unique imports on its first call
-(linalg_core.sorted_unique stands in for it).
+(linalg_core.sorted_unique stands in for it). The slice bound calls nothing
+in numpy.linalg at all.
 
 Each case runs in a fresh interpreter, because this test process already
 holds scipy. The case's last line of output is a JSON object holding the
@@ -100,10 +101,29 @@ def test_conic_hull_projection_loads_no_scipy_and_matches_nnls():
     np.testing.assert_allclose(p, ref, rtol=0.0, atol=1e-15)
 
 
+# Replaces each public numpy.linalg function by one that records its name
+# before it runs; the program calls them through the module attribute.
+RECORD_LINALG = """
+linalg_calls = []
+def _recording(name, fn):
+    def wrapper(*args, **kwargs):
+        linalg_calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+for _name in np.linalg.__all__:
+    _fn = getattr(np.linalg, _name)
+    if callable(_fn) and not isinstance(_fn, type):
+        setattr(np.linalg, _name, _recording(_name, _fn))
+"""
+
+
 @pytest.mark.parametrize("cone", ["gallery", "polytope"])
 def test_verify_slice_bound_loads_no_scipy(cone):
+    # nor does it call numpy.linalg: the slice's tangent basis comes from a
+    # Householder reflector, not an SVD, so LAPACK is never touched
     out = _run_fresh(
         "import numpy as np\n"
+        + RECORD_LINALG +
         "from conelab import ConicHull, SliceSpec, gallery\n"
         "from conelab.hull_constants import verify_slice_bound\n"
         "if " + repr(cone) + " == 'gallery':\n"
@@ -113,9 +133,10 @@ def test_verify_slice_bound_loads_no_scipy(cone):
         "                           np.ones(40)])\n"
         "    K = ConicHull(SliceSpec(e=np.array([0.0, 0.0, 0.0, 0.0, 1.0]), sampler=lambda n: pts))\n"
         "    r = verify_slice_bound(K, n_samples=10, density=40, seed=3, spread=2.0)\n"
-        "extra = {'kept': r.n_kept, 'violations': r.violations}\n"
+        "extra = {'kept': r.n_kept, 'violations': r.violations, 'linalg': linalg_calls}\n"
     )
     assert out["kept"] > 0 and out["violations"] == 0
+    assert out["linalg"] == []
     assert out["scipy"] == []
     assert out["numpy_ma"] == []
 
