@@ -187,15 +187,12 @@ def curve_cloud(density: int, gamma_extra=(), windows=()):
     not np.unique, whose first call imports numpy.ma into the process.
     """
     circles, circle_tags, grid = _fixed_rows(density)
-    parts = [grid]
-    if len(gamma_extra):
-        parts.append(np.asarray(gamma_extra, dtype=float))
-    for center, halfwidth, count in windows:
-        lo = max(0.0, center - halfwidth)
-        hi = min(np.pi, center + halfwidth)
-        parts.append(np.linspace(lo, hi, count))
+    parts = [grid, np.asarray(gamma_extra, dtype=float)]
+    parts += [np.linspace(max(0.0, c - h), min(np.pi, c + h), n) for c, h, n in windows]
     sg = sorted_unique(np.concatenate(parts))
-    return np.vstack([circles, curve_gamma(sg)]), np.concatenate([circle_tags, sg])
+    pts = np.empty((circles.shape[0] + sg.shape[0], 3))
+    pts[:circles.shape[0]], pts[circles.shape[0]:] = circles, curve_gamma(sg)
+    return pts, np.concatenate([circle_tags, sg])
 
 
 # ---------------------------------------------------------------------------
@@ -413,25 +410,17 @@ def _hint_from_xy(x: np.ndarray) -> float:
     return 0.5 * ang
 
 
-def _carry_weights(rows: np.ndarray, weights: np.ndarray, row_tags: np.ndarray,
-                   tags: np.ndarray, density: int) -> np.ndarray:
-    """The weights on rows (with tags row_tags) of one refinement round's
-    cloud, as a weight vector over the rows of the next round's cloud (with
-    tags tags). Circle rows keep their index; an arc row goes to the row with
-    its exact tag in the new arc grid, which holds it because the refinement
-    adds the round's arc support to its exact parameters. Raises RuntimeError
-    if one is missing."""
-    n_circ = 2 * density
-    arc = rows >= n_circ
+def _carry_support(rows: list, row_tags: list, tags: np.ndarray, n_circ: int) -> list:
+    """The rows, tagged row_tags, of one refinement round's cloud as rows of
+    the next round's cloud, tagged tags, whose first n_circ rows are the
+    circles. Circle rows keep their index; an arc row goes to the row of its
+    exact tag, which the refinement adds to the new arc grid with the round's
+    arc support. RuntimeError if one is missing."""
     grid = tags[n_circ:]
-    pos = np.minimum(np.searchsorted(grid, row_tags[arc]), grid.shape[0] - 1)
-    if not np.array_equal(grid[pos], row_tags[arc]):
+    pos = grid.searchsorted(row_tags).tolist()
+    if any(i >= n_circ and (p == len(grid) or grid[p] != t) for i, t, p in zip(rows, row_tags, pos)):
         raise RuntimeError("an arc row of the previous round is missing from the refined cloud")
-    new_rows = rows.copy()
-    new_rows[arc] = n_circ + pos
-    out = np.zeros(tags.shape[0])
-    out[new_rows] = weights
-    return out
+    return [i if i < n_circ else n_circ + p for i, p in zip(rows, pos)]
 
 
 def _project_body(x: np.ndarray, density: int, rounds: int = 3) -> ProjectionResult:
@@ -446,23 +435,22 @@ def _project_body(x: np.ndarray, density: int, rounds: int = 3) -> ProjectionRes
     round returns x itself (distance 0.0) the refinement stops, since every
     later cloud holds that round's support and no round can do better."""
     x = np.asarray(x, dtype=float)
-    extra = [_hint_from_xy(x)]
-    windows = []
-    best = None
+    n_circ = 2 * density
+    extra = [_hint_from_xy(x)]  # curve_cloud sorts and merges the arc parameters
+    windows, best = [], None
     for r in range(rounds + 1):
         pts, tags = curve_cloud(density, gamma_extra=extra, windows=windows)
-        start = None if r == 0 else _carry_weights(*carried, tags, density)
-        res, wts = project_hull(pts, x, return_weights=True, start=start)
+        start = None if r == 0 else (_carry_support(rows, row_tags, tags, n_circ), wts)
+        res, (rows, wts) = project_hull(pts, x, return_weights=True, start=start)
         if best is None or res.distance <= best.distance:
             best = res
         if r == rounds or res.distance == 0.0:
             break
-        sup = np.nonzero(wts > 1e-12)[0]
-        carried = (sup, wts[sup], tags[sup])
-        arc_support = tags[sup][tags[sup] >= 0.0]
-        halfwidth = (np.pi / density) / (4.0**r)
-        windows = [(float(c), 2.0 * halfwidth, 33) for c in arc_support]
-        extra = sorted_unique(np.concatenate([extra, arc_support]))
+        rows, wts = map(list, zip(*[(i, w) for i, w in zip(rows, wts) if w > 1e-12]))
+        row_tags = tags[rows].tolist()
+        arc_support = [t for i, t in zip(rows, row_tags) if i >= n_circ]
+        windows = [(c, 2.0 * ((np.pi / density) / (4.0**r)), 33) for c in arc_support]
+        extra += arc_support
     return best
 
 
@@ -478,7 +466,7 @@ def body(density: int = 2048) -> GallerySet:
 
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         d = _project_body(x, density, rounds=1).distance
-        eps = max(tol.margin(max(1.0, float(np.linalg.norm(x)))), 1e-7)
+        eps = max(tol.margin(max(1.0, _norm(np.asarray(x, dtype=float)))), 1e-7)
         if d > eps:
             return MembershipResult(Membership.OUTSIDE, False, d)
         status = Membership.BOUNDARY if d > 1e-12 else Membership.INSIDE
@@ -688,7 +676,7 @@ def _gauge_membership(x: np.ndarray, worst: float, tol: Tolerance) -> Membership
     """Exact verdict from the residual worst of a closed-form description,
     <= 0 exactly on the set: OUTSIDE at distance worst above the tolerance at
     scale max(1, ||x||), INSIDE below minus it, and BOUNDARY at 0.0 between."""
-    status = _classify(worst, tol.margin(max(1.0, float(np.linalg.norm(x)))))
+    status = _classify(worst, tol.margin(max(1.0, _norm(x))))
     return MembershipResult(status, True, worst if status is Membership.OUTSIDE else 0.0)
 
 
@@ -759,7 +747,7 @@ def _cylinder_hull() -> GallerySet:
     # x = P_K(x) - P_K*(-x) gives the hull's projection P_K(x) = x + P_K*(-x).
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         x = np.asarray(x, dtype=float)
-        worst = max(float(np.linalg.norm(x[:2])) - x[3], abs(x[2]) - x[3])
+        worst = max(_norm(x[:2]) - x[3], abs(x[2]) - x[3])
         return _gauge_membership(x, worst, tol)
 
     def project_fn(x) -> ProjectionResult:
@@ -815,7 +803,7 @@ def _cylinder_dual_rays(n: int) -> np.ndarray:
 def _cylinder_dual() -> GallerySet:
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         x = np.asarray(x, dtype=float)
-        return _gauge_membership(x, float(np.linalg.norm(x[:2])) + abs(x[2]) - x[3], tol)
+        return _gauge_membership(x, _norm(x[:2]) + abs(x[2]) - x[3], tol)
 
     def project_fn(x) -> ProjectionResult:
         p = _project_bicone_dual(x)
@@ -841,7 +829,7 @@ def _cylinder_dual() -> GallerySet:
 def _dual_sum_set() -> GallerySet:
     def member_fn(x, tol: Tolerance = DEFAULT_TOL) -> MembershipResult:
         x = np.asarray(x, dtype=float)
-        return _gauge_membership(x, float(np.linalg.norm(x[:2])) - (x[2] + x[3]), tol)
+        return _gauge_membership(x, _norm(x[:2]) - (x[2] + x[3]), tol)
 
     def project_fn(x) -> ProjectionResult:
         p = _project_dual_sum_set(x)

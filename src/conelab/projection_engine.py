@@ -17,6 +17,9 @@ toward it and drop the rows whose weights reach zero. That point comes from a
 QR factorization of the support (_SupportQR) that each step updates instead of
 recomputing: one Gram-Schmidt step with reorthogonalization per added row, a
 Givens downdate per dropped one, and a triangular back-substitution.
+project_hull's warm start is the loop's own support, rows and weights: building
+and scanning a dense vector of weights over every row cost a refinement round
+that re-solves on a new cloud of hundreds of rows nearly as much as Wolfe's loop.
 
 A point that is already in the cone comes back unchanged: the orthant,
 halfspace and second-order-cone closed forms and the PSD eigenvalue clip return
@@ -28,6 +31,7 @@ certificate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -450,6 +454,25 @@ def _wolfe(P: np.ndarray, x: np.ndarray, support, lam):
     return y + origin, gap, iters, support, lam
 
 
+def _start_support(start, m: int):
+    """Wolfe's start from start = (rows, weights) over m rows: the rows of
+    positive weight in increasing order, with the weights over their sum.
+    ValueError unless the rows are distinct integers in [0, m), with one
+    finite, nonnegative weight each and a finite positive sum."""
+    try:
+        rows, weights = start
+        rows, weights = list(map(operator.index, rows)), list(map(float, weights))
+        total = sum(weights)  # NaN or inf for a NaN or infinite weight
+        if not (len(rows) == len(weights) == len(set(rows)) and 0 <= min(rows) and max(rows) < m
+                and min(weights) >= 0.0 and math.isfinite(total) and total > 0.0):
+            raise ValueError
+    except (TypeError, ValueError):  # also not a pair of sequences, or no rows
+        raise ValueError(f"start must be a pair (rows, weights): distinct row indices in [0, {m}) "
+                         "and one finite, nonnegative weight each, with a positive sum") from None
+    kept = sorted(p for p in zip(rows, weights) if p[1] > 0.0)
+    return [i for i, _ in kept], [l / total for _, l in kept]
+
+
 def project_hull(points, x, return_weights: bool = False, *, start=None):
     """Exact nearest point of conv(rows of points) from x.
 
@@ -465,14 +488,16 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     most violating vertex is already in the support) or reaches
     HULL_MAX_ITER iterations.
 
-    start warm-starts the method: a vector of convex weights over the rows,
-    in the format return_weights gives. Wolfe then begins from its nonzero
-    rows, with the weights renormalised to sum 1, instead of from the nearest
-    vertex. Its iterates never move farther from x than that start point, so
-    the answer is no farther than the start (up to rounding), and the weights
-    of an answer, given back as start, finish in one iteration. A start of
-    the wrong length, with a negative or non-finite entry, or with a zero or
-    overflowing sum raises ValueError.
+    start warm-starts the method from a support (rows, weights): distinct
+    row indices, in any order, and their convex weights, the form Wolfe's
+    loop keeps and return_weights gives (see the module note). Wolfe then
+    begins from its rows of positive weight, in increasing order and with
+    the weights renormalised to sum 1, instead of from the nearest vertex.
+    Its iterates never move farther from x than that start point, so the
+    answer is no farther than the start (up to rounding), and the support of
+    an answer, given back as start, finishes in one iteration. ValueError
+    unless the rows are distinct integers in [0, m) with one finite,
+    nonnegative weight each and a finite positive sum.
 
     points must be an (m, d) array with m, d >= 1 and x a vector of length
     d, all finite; ValueError otherwise. When an entry reaches HULL_HUGE,
@@ -482,8 +507,8 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
 
     A member comes back unchanged: when the hull point reproduces x to
     rounding level (see _snap_member) a copy of x is returned and the
-    residual is added to the gap. With return_weights the convex weights over
-    all rows come back too.
+    residual is added to the gap. With return_weights the answer's support
+    comes back too: (rows, weights) lists, rows increasing, no zero weight.
     """
     P = np.asarray(points, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -496,19 +521,7 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     if m == 0:
         raise ValueError("empty point set")
 
-    support = lam = None
-    if start is not None:
-        w = np.asarray(start, dtype=float)
-        if w.shape != (m,):
-            raise ValueError(f"start must hold one weight per row ({m}), got shape {w.shape}")
-        with np.errstate(over="ignore"):  # an overflowing sum is rejected below
-            total = float(w.sum())
-        # a NaN entry makes the minimum NaN, an infinite one the sum
-        if not (w.min() >= 0.0 and math.isfinite(total) and total > 0.0):
-            raise ValueError("start must be finite, nonnegative weights with a positive sum")
-        support = np.flatnonzero(w)
-        lam = (w[support] / total).tolist()
-        support = support.tolist()
+    support, lam = (None, None) if start is None else _start_support(start, m)
     e = 0
     # the sum of squares is NaN or inf for a non-finite entry and bounds the
     # largest entry; vdot, a BLAS dot, does not warn when it overflows
@@ -523,9 +536,8 @@ def project_hull(points, x, return_weights: bool = False, *, start=None):
     y, gap = _snap_member(xs, y, gap, vec_norm(xs))
     res = _result(x, np.ldexp(y, e) if e else y, "hull_qp", iters, gap, huge=bool(e))
     if return_weights:
-        full = np.zeros(m)
-        full[support] = lam
-        return res, full
+        kept = sorted((i, l) for i, l in zip(support, lam) if l > 0.0)
+        return res, ([i for i, _ in kept], [l for _, l in kept])
     return res
 
 

@@ -1,4 +1,6 @@
 """Tests for the example gallery: curves, normals, faces, and projectors."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,9 @@ class TestBodyRefinement:
         for x in _refinement_queries():
             rounds.clear()
             d = G._project_body(x, 128).distance
+            # every round goes through project_hull, so the spy sees it: one
+            # round for a member, and the refinement rounds for a non-member
+            assert rounds and (d == 0.0 or len(rounds) > 1), (x, d, rounds)
             assert all(d <= r for r in rounds), (x, d, rounds)
             # each warm-started round is at most the previous one, up to the
             # rounding of the re-solved affine system
@@ -313,10 +318,15 @@ class TestBodyRefinement:
 
     def test_carried_arc_row_must_be_in_the_refined_cloud(self):
         _, tags = G.curve_cloud(64, gamma_extra=(0.5,))
-        row = np.flatnonzero(tags == 0.5)
+        row = np.flatnonzero(tags == 0.5).tolist()
         _, coarse = G.curve_cloud(64)
         with pytest.raises(RuntimeError, match="missing"):
-            G._carry_weights(row, np.ones(1), tags[row], coarse, 64)
+            G._carry_support(row, tags[row].tolist(), coarse, 128)
+        # past the end of the new grid, and carried where it is present
+        with pytest.raises(RuntimeError, match="missing"):
+            G._carry_support([200], [4.0], coarse, 128)
+        assert G._carry_support([3, 200] + row, [-1.0, 0.0] + tags[row].tolist(), tags, 128) == [
+            3, 128, int(np.flatnonzero(tags == 0.5)[0])]
 
     def test_member_comes_back_after_one_round(self, monkeypatch):
         rounds = self._spied(monkeypatch)
@@ -692,6 +702,44 @@ class TestHugePointFaceMembership:
         for scale in (1.0, 1e200):
             assert [F.contains(x) for x in scale * X] == [True, True, False]
             assert face_contains(F, scale * X).tolist() == [True, True, False]
+
+
+def _huge_point_sets():
+    cyl = G.cylinder_hull_objects()
+    return {"cylinder_hull": cyl.hull, "cylinder_dual": cyl.dual,
+            "dual_sum_set": cyl.dual_sum_set, "body": G.body(128), "sturm_slice": G.sturm_slice()}
+
+
+class TestHugePointSetMembership:
+    """The closed-form sets and the body take their tolerance scale and their
+    residuals from overflow-safe norms: a point past a norm of about 1.3e154
+    is decided on its own residual, with no overflow warning (an error here).
+    It gets the verdict of the same point scaled by 1e-200, except on the
+    sturm slice, whose slab x22 >= 1 does not scale."""
+
+    # (set, point, verdict, its distance, the scaled point's distance)
+    CASES = [
+        ("cylinder_hull", (3e200, 0.0, 0.0, 1e200), "OUTSIDE", 2e200, 2.0),
+        ("cylinder_dual", (3e200, 0.0, 0.0, 1e200), "OUTSIDE", 2e200, 2.0),
+        ("dual_sum_set", (3e200, 0.0, 0.0, 1e200), "OUTSIDE", 2e200, 2.0),
+        ("body", (3e200, 0.0, 0.0), "OUTSIDE", 3e200, 2.0),
+        ("cylinder_hull", (1e200, 0.0, 0.0, 3e200), "INSIDE", 0.0, 0.0),
+        ("sturm_slice", (-1e200, 0.0, 1.0), "OUTSIDE", 1e200, None),
+        ("sturm_slice", (1e200, 0.0, 1e200), "INSIDE", 0.0, None),
+    ]
+
+    @pytest.mark.parametrize("name, x, verdict, distance, scaled", CASES)
+    def test_huge_point(self, name, x, verdict, distance, scaled):
+        C = _huge_point_sets()[name]
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = C.member_fn(x)
+            small = C.member_fn(1e-200 * x)
+        assert r.status.name == verdict
+        assert r.distance == pytest.approx(distance, rel=1e-12)
+        if scaled is not None:
+            assert small.status.name == verdict and small.distance == scaled
 
 
 class TestLiftedDiskFace:

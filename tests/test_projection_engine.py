@@ -790,6 +790,23 @@ class TestMoreau:
             )
 
 
+def _support(w):
+    """The support (rows, weights) of the dense weight vector w: its nonzero
+    rows in increasing order and their weights, the start format of
+    project_hull."""
+    rows = np.flatnonzero(w)
+    return rows.tolist(), w[rows].tolist()
+
+
+def _dense(support, m):
+    """The weight vector over m rows of the support (rows, weights) that
+    project_hull returns."""
+    w = np.zeros(m)
+    rows, weights = support
+    w[rows] = weights
+    return w
+
+
 class TestHull:
     def test_triangle_closed_form(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -805,7 +822,8 @@ class TestHull:
     def test_weights_live_on_simplex(self):
         rng = np.random.default_rng(3)
         pts = rng.standard_normal((40, 3))
-        r, w = project_hull(pts, rng.standard_normal(3) * 3.0, return_weights=True)
+        r, sup = project_hull(pts, rng.standard_normal(3) * 3.0, return_weights=True)
+        w = _dense(sup, pts.shape[0])
         assert w.min() >= -1e-14
         assert w.sum() == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(w @ pts, r.point, atol=1e-10)
@@ -886,9 +904,10 @@ def _warm_start(kind, P, x, rng):
     if kind == "vertex":
         start = np.zeros(P.shape[0])
         start[rng.integers(P.shape[0])] = 1.0
-        return start
-    _, w = project_hull(P, x, return_weights=True)
-    return w if kind == "answer" else (w > 0.0).astype(float)
+        return _support(start)
+    _, sup = project_hull(P, x, return_weights=True)
+    w = _dense(sup, P.shape[0])
+    return _support(w if kind == "answer" else (w > 0.0).astype(float))
 
 
 @lru_cache(maxsize=None)
@@ -932,18 +951,40 @@ class TestHullAgainstBruteForce:
         rng = np.random.default_rng(14)
         for x, _ in _tiny_cloud_cases(name):
             w = rng.dirichlet(np.ones(P.shape[0]))
-            r1, w1 = project_hull(P, x, return_weights=True, start=w)
-            r8, w8 = project_hull(P, x, return_weights=True, start=8.0 * w)
+            r1, w1 = project_hull(P, x, return_weights=True, start=_support(w))
+            r8, w8 = project_hull(P, x, return_weights=True, start=_support(8.0 * w))
+            w1, w8 = _dense(w1, P.shape[0]), _dense(w8, P.shape[0])
             assert r8.iterations == r1.iterations
             assert r8.point.tobytes() == r1.point.tobytes()
             assert w8.tobytes() == w1.tobytes()
 
+    @pytest.mark.parametrize("name", list(_TINY_CLOUDS))
+    def test_start_row_order_changes_nothing(self, name):
+        # Wolfe starts from the rows in increasing order, whatever order they
+        # come in, and the answer's support comes back with its rows
+        # increasing and only positive weights
+        P = _TINY_CLOUDS[name]
+        rng = np.random.default_rng(17)
+        for x, _ in _tiny_cloud_cases(name):
+            rows, weights = _support(rng.dirichlet(np.ones(P.shape[0])))
+            perm = rng.permutation(len(rows))
+            shuffled = ([rows[k] for k in perm], [weights[k] for k in perm])
+            r1, s1 = project_hull(P, x, return_weights=True, start=(rows, weights))
+            r2, s2 = project_hull(P, x, return_weights=True, start=shuffled)
+            assert (r2.iterations, r2.point.tobytes()) == (r1.iterations, r1.point.tobytes())
+            assert s2 == s1
+            assert s1[0] == sorted(set(s1[0])) and min(s1[1]) > 0.0
+
     @pytest.mark.parametrize(
         "start",
-        [np.ones(3), np.ones(5), np.array([1.0, -1e-3, 0.0, 0.0]),
-         np.array([1.0, np.nan, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0, 0.0]),
-         np.zeros(4), np.full(4, 1e308)],
-        ids=["short", "long", "negative", "nan", "inf", "zero_sum", "overflowing_sum"],
+        [([0, 1, 2], [1.0, 1.0]), _support(np.ones(5)), _support(np.array([1.0, -1e-3, 0.0, 0.0])),
+         _support(np.array([1.0, np.nan, 0.0, 0.0])), _support(np.array([np.inf, 0.0, 0.0, 0.0])),
+         _support(np.zeros(4)), _support(np.full(4, 1e308)),
+         ([1, 2, 1], [0.5, 0.25, 0.25]), ([0, -1], [0.5, 0.5]), ([0, 1], [1.0]),
+         ([0.5], [1.0]), np.ones(4)],
+        ids=["short", "long", "negative", "nan", "inf", "zero_sum", "overflowing_sum",
+             "repeated_row", "negative_row", "mismatched_lengths", "non_integer_row",
+             "dense_vector"],
     )
     def test_invalid_start_raises(self, start):
         P = _TINY_CLOUDS["R2_m4"]
@@ -1007,7 +1048,9 @@ def _assert_agrees_with_old_loop(P, x, start=None):
     Frank-Wolfe gap of the optimum, so they differ by at most the larger gap
     plus rounding; and f(y) - f* >= ||y - y*||^2 for the squared distance f,
     so each point is within sqrt(gap) of the optimum y*."""
-    r, w = project_hull(P, x, return_weights=True, start=start)
+    r, w = project_hull(P, x, return_weights=True,
+                        start=None if start is None else _support(start))
+    w = _dense(w, P.shape[0])
     ref, _ = _old_project_hull(P, x, start)
     tol = projection_engine.GAP_TOL
     assert r.certificate_gap <= tol and ref.certificate_gap <= tol
@@ -1059,7 +1102,8 @@ class TestWolfeAgreesWithOldLoop:
         P = _TINY_CLOUDS[name]
         rng = np.random.default_rng(13)
         for x, _ in _tiny_cloud_cases(name):
-            _assert_agrees_with_old_loop(P, x, _warm_start(start, P, x, rng))
+            sup = _warm_start(start, P, x, rng)
+            _assert_agrees_with_old_loop(P, x, None if sup is None else _dense(sup, P.shape[0]))
 
     def test_agrees_on_the_gallery_slice(self):
         G = _gallery_generators(512)
@@ -1167,6 +1211,7 @@ class TestHullInputs:
             r, w = project_hull(P, x, return_weights=True)
         e = math.frexp(1e200)[1]
         ref, ref_w = project_hull(np.ldexp(P, -e), np.ldexp(x, -e), return_weights=True)
+        w, ref_w = _dense(w, 3), _dense(ref_w, 3)
         assert r.point.tobytes() == np.ldexp(ref.point, e).tobytes()
         assert w.tobytes() == ref_w.tobytes()
         assert r.certificate_gap == ref.certificate_gap <= projection_engine.GAP_TOL
@@ -1195,7 +1240,7 @@ class TestHullInputs:
             for x in rng.standard_normal((8, P.shape[1])) * 2.0:
                 r = project_hull(P, x)
                 assert r.certificate_gap <= projection_engine.GAP_TOL
-                r = project_hull(P, x, start=rng.dirichlet(np.ones(P.shape[0])))
+                r = project_hull(P, x, start=_support(rng.dirichlet(np.ones(P.shape[0]))))
                 assert r.certificate_gap <= projection_engine.GAP_TOL
 
 
@@ -1249,6 +1294,7 @@ class TestRobustnessSet:
         for _, c, q, P, x in (case for case in _robustness_set() if case[0] == kind):
             try:
                 r, w = project_hull(P, x, return_weights=True)
+                w = _dense(w, P.shape[0])
             except NonConvergenceError as err:
                 assert "stalled" in str(err)
                 stalls.append(err.residual)
@@ -1287,7 +1333,9 @@ class TestRobustnessSet:
             P[rng.random(m) < 0.3, 0] = 0.0
             x = rng.standard_normal(d) * 3.0
             cold = project_hull(P, x)
-            r, w = project_hull(P, x, return_weights=True, start=rng.dirichlet(np.ones(m)))
+            r, w = project_hull(P, x, return_weights=True,
+                                start=_support(rng.dirichlet(np.ones(m))))
+            w = _dense(w, m)
             assert r.certificate_gap <= tol and cold.certificate_gap <= tol
             eps2 = _rounding(P, x)
             assert abs(r.distance**2 - cold.distance**2) <= tol + eps2
