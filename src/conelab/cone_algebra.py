@@ -25,6 +25,7 @@ import numpy as np
 
 from .linalg_core import (
     DEFAULT_TOL,
+    RANK_CUTOFF,
     AffineSubspace,
     DimensionMismatchError,
     Tolerance,
@@ -51,7 +52,6 @@ from .projection_engine import (
     _result,
     _snap_member,
     dykstra_intersection,
-    dykstra_projectors,
     project,
     project_conic_generators,
 )
@@ -1002,6 +1002,8 @@ class FaceHandle:
     (..., d)).
 
     membership and exact_projector take one point; contains returns one bool.
+    Every face has an exact projector: a closed form, or an exact kernel
+    (Lawson-Hanson, Wolfe) on the face's own description.
     A point with a non-finite entry is in no face: contains and
     facial_structure.face_contains answer False for it without calling
     membership, so membership only ever sees finite points.
@@ -1010,7 +1012,7 @@ class FaceHandle:
     parent: ConeSpec
     span_basis: np.ndarray
     membership: Callable[[np.ndarray, Tolerance], bool]
-    exact_projector: Callable[[np.ndarray], np.ndarray] | None = None
+    exact_projector: Callable[[np.ndarray], np.ndarray]
     descriptor: dict = field(default_factory=dict)
     affine_basepoint: np.ndarray | None = None
 
@@ -1063,12 +1065,12 @@ def full_face(K: ConeSpec) -> FaceHandle:
         dual = dual_cone(K)
         if full_dim:
             return zero_face(dual)
-        # the dual meets the span's complement in all of it, a face whose
-        # conjugate is the full face of the dual's dual
-        perp = complement_basis(span, d)
-        return _cone_span_face(
-            dual, perp, {"kind": "dual_span_face", "conjugate_factory": lambda: full_face(dual_cone(dual))}
-        )
+        # the dual holds the span's complement, so it meets it in all of it:
+        # a subspace face, whose conjugate is the full face of the dual's dual
+        aff = AffineSubspace(np.zeros(d), complement_basis(span, d))
+        return FaceHandle(dual, aff.basis, _span_member(dual, aff), aff.project, {
+            "kind": "dual_span_face", "conjugate_factory": lambda: full_face(dual_cone(dual)),
+        })
 
     return FaceHandle(
         parent=K,
@@ -1171,32 +1173,42 @@ def _psd_range_face(K: PsdCone, U: np.ndarray) -> FaceHandle:
     })
 
 
-def _poly_active_face(K: PolyhedralCone, active: tuple) -> FaceHandle:
-    if len(active) == 0:
-        return full_face(K)
-    span = complement_basis(orthonormalize(K.inequalities[list(active)]), K.dim)
-    # the conjugate is the cone of the active rows, as a face of K* = cone{rows}
-    return _cone_span_face(K, span, {
-        "kind": "poly_active", "conjugate_factory": lambda: _poly_generator_face(dual_cone(K), active),
-    })
-
-
-def _cone_span_face(K: ConeSpec, span: np.ndarray, descriptor: dict) -> FaceHandle:
-    """The face of K cut out by the span of the rows of span (for a span that
-    meets K in a face): membership in both, and Dykstra over the pair as the
-    projector."""
-    aff = AffineSubspace(np.zeros(K.dim), span)
-
+def _span_member(K: ConeSpec, aff: AffineSubspace) -> Callable:
+    """Membership in the face of K cut out by the subspace aff (one that
+    meets K in a face): in K, and in aff to the tolerance."""
     def member(v, tol=DEFAULT_TOL):
         v = _unsquared(v)
         e = tol.margin(max(1.0, float(np.linalg.norm(v))))
         inside = membership(K, v, tol).status is not Membership.OUTSIDE
         return bool(inside and aff.distance(v) <= e)
 
-    def proj(v, _projs=(lambda w: project(K, w).point, aff.project)):
-        return dykstra_projectors(list(_projs), v, tol_change=1e-12).point
+    return member
 
-    return FaceHandle(K, span, member, proj, descriptor)
+
+def _poly_active_face(K: PolyhedralCone, active: tuple) -> FaceHandle:
+    if len(active) == 0:
+        return full_face(K)
+    A = K.inequalities
+    aff = AffineSubspace(np.zeros(K.dim), complement_basis(orthonormalize(A[list(active)]), K.dim))
+    B = aff.basis
+    # F is K within the span of B's orthonormal rows, {B^T y : (A B^T) y >= 0},
+    # and ||x - B^T y||^2 = ||x - B^T B x||^2 + ||B x - y||^2, so P_F(x) =
+    # B^T P_G(B x) for G = {y : (A B^T) y >= 0}, projected by Lawson-Hanson.
+    # A row in the active rows' span, to the rank cutoff, vanishes on F.
+    R = A @ B.T
+    R = R[row_norms(R) > RANK_CUTOFF * row_norms(A)]
+    if not len(R):
+        proj = aff.project
+    else:
+        G = PolyhedralCone(inequalities=R)
+
+        def proj(v):
+            return project(G, B @ v).point @ B
+
+    # the conjugate is the cone of the active rows, as a face of K* = cone{rows}
+    return FaceHandle(K, B, _span_member(K, aff), proj, {
+        "kind": "poly_active", "conjugate_factory": lambda: _poly_generator_face(dual_cone(K), active),
+    })
 
 
 def _poly_generator_face(K: PolyhedralCone, active: tuple, x: np.ndarray | None = None) -> FaceHandle:
@@ -1231,9 +1243,8 @@ def _product_face(K: ProductCone, Fl: FaceHandle, Fr: FaceHandle) -> FaceHandle:
     def member(v, tol=DEFAULT_TOL):
         return bool(Fl.membership(v[:dl], tol) and Fr.membership(v[dl:], tol))
 
-    proj = None
-    if Fl.exact_projector is not None and Fr.exact_projector is not None:
-        proj = lambda v: np.concatenate([Fl.exact_projector(v[:dl]), Fr.exact_projector(v[dl:])])
+    def proj(v):
+        return np.concatenate([Fl.exact_projector(v[:dl]), Fr.exact_projector(v[dl:])])
 
     return FaceHandle(K, span, member, proj, {
         "kind": "product", "left": Fl, "right": Fr,

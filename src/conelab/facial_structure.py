@@ -3,7 +3,7 @@ membership in the sum dual-cone-plus-face-complement.
 
 A face of a closed convex cone equals the cone intersected with the face's
 linear span, so a FaceHandle stores an orthonormal span basis together with a
-membership rule and, where available, an exact projector. Faces of the compact
+membership rule and an exact projector. Faces of the compact
 gallery sets reuse the same handle with an affine basepoint.
 
 A variant's face rules live with it in cone_algebra: its _minimal_face, and
@@ -44,7 +44,7 @@ from .linalg_core import (
     orthonormalize,
     row_norms,
 )
-from .projection_engine import dykstra_projectors, project
+from .projection_engine import project
 
 __all__ = [
     "FaceHandle",
@@ -85,31 +85,20 @@ def face_contains(F: FaceHandle, X) -> np.ndarray:
 
 
 def face_projection(F: FaceHandle, x) -> np.ndarray:
-    """Project a point, or an (n, d) stack of points row by row, onto the face.
+    """Project a point, or an (n, d) stack of points row by row, onto the face
+    by its exact projector.
 
-    The exact projector is preferred; without one, Dykstra runs over the
-    parent cone and the face's span (they intersect in F). A stack goes to
-    the projector in one call when the descriptor lists "exact_projector"
-    under "stacks", and one row at a time otherwise; either way each row of
-    the result is bitwise the projection of that row alone.
+    A stack goes to the projector in one call when the descriptor lists
+    "exact_projector" under "stacks", and one row at a time otherwise; either
+    way each row of the result is bitwise the projection of that row alone.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return _project_point(F, x)
-    if "exact_projector" in F.descriptor.get("stacks", ()):
+    if x.ndim == 1 or "exact_projector" in F.descriptor.get("stacks", ()):
         return F.exact_projector(x)
     out = np.empty(x.shape)
     for i, row in enumerate(x):
-        out[i] = _project_point(F, row)
+        out[i] = F.exact_projector(row)
     return out
-
-
-def _project_point(F: FaceHandle, x: np.ndarray) -> np.ndarray:
-    if F.exact_projector is not None:
-        return F.exact_projector(x)
-    aff = F.affine()
-    projs = [lambda v: project(F.parent, v).point, aff.project]
-    return dykstra_projectors(projs, x, tol_change=1e-12).point
 
 
 def face_samples(F: FaceHandle, n: int, rng: np.random.Generator) -> np.ndarray:

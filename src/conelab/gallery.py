@@ -38,6 +38,7 @@ not pay for scipy's import (a few tenths of a second and about 45 MB).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -67,7 +68,7 @@ from .linalg_core import (
 from .projection_engine import (
     ProjectionResult,
     _norm,
-    dykstra_projectors,
+    _result,
     project_conic_generators,
     project_hull,
     project_scaled_soc,
@@ -694,7 +695,7 @@ def _project_bicone_dual(s: np.ndarray) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)
     v, w = s[:3], float(s[3])
-    nv2 = float(np.linalg.norm(v[:2]))
+    nv2 = _norm(v[:2])
     nr = abs(float(v[2]))
     if nv2 + nr <= w:
         return s.copy()
@@ -752,8 +753,7 @@ def _cylinder_hull() -> GallerySet:
 
     def project_fn(x) -> ProjectionResult:
         x = np.asarray(x, dtype=float)
-        p = x + _project_bicone_dual(-x)
-        return ProjectionResult(p, float(np.linalg.norm(x - p)), "closed_form")
+        return _result(x, x + _project_bicone_dual(-x), "closed_form")
 
     def sample_fn(n, rng):
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -806,8 +806,8 @@ def _cylinder_dual() -> GallerySet:
         return _gauge_membership(x, _norm(x[:2]) + abs(x[2]) - x[3], tol)
 
     def project_fn(x) -> ProjectionResult:
-        p = _project_bicone_dual(x)
-        return ProjectionResult(p, float(np.linalg.norm(np.asarray(x) - p)), "closed_form")
+        x = np.asarray(x, dtype=float)
+        return _result(x, _project_bicone_dual(x), "closed_form")
 
     def sample_fn(n, rng):
         raw = rng.standard_normal((n, 4)) * 2.0
@@ -832,8 +832,8 @@ def _dual_sum_set() -> GallerySet:
         return _gauge_membership(x, _norm(x[:2]) - (x[2] + x[3]), tol)
 
     def project_fn(x) -> ProjectionResult:
-        p = _project_dual_sum_set(x)
-        return ProjectionResult(p, float(np.linalg.norm(np.asarray(x) - p)), "closed_form")
+        x = np.asarray(x, dtype=float)
+        return _result(x, _project_dual_sum_set(x), "closed_form")
 
     def sample_fn(n, rng):
         raw = rng.standard_normal((n, 4)) * 2.0
@@ -1210,21 +1210,15 @@ def _sturm_face_project(v: np.ndarray) -> np.ndarray:
     solves the cubic b^3 + b (1 - A) - B = 0.
     """
     A = float(v[0])
-    B = float(v[1]) / np.sqrt(2.0)
-    candidates = []
-    if A >= B * B:
-        candidates.append((A, B))
-    roots = np.roots([1.0, 0.0, 1.0 - A, -B])
-    for r in roots:
+    B = float(v[1]) / math.sqrt(2.0)
+    candidates = [(A, B)] if A >= B * B else []
+    for r in np.roots([1.0, 0.0, 1.0 - A, -B]):
         if abs(r.imag) < 1e-10:
             b = float(r.real)
             candidates.append((b * b, b))
-    best, best_val = None, np.inf
-    for a, b in candidates:
-        val = (a - A) ** 2 + 2.0 * (b - B) ** 2
-        if val < best_val:
-            best, best_val = (a, b), val
-    a, b = best
+    # the first nearest candidate; distances, not their squares, which
+    # overflow past about 1e154
+    a, b = min(candidates, key=lambda c: math.hypot(c[0] - A, math.sqrt(2.0) * (c[1] - B)))
     return _svec2(a, b, 1.0)
 
 
@@ -1241,12 +1235,14 @@ def sturm_slice() -> GallerySet:
         return _gauge_membership(x, max(-eig_min, 1.0 - c), tol)
 
     def project_fn(x) -> ProjectionResult:
-        def slab(v):
-            out = v.copy()
-            out[2] = max(out[2], 1.0)
-            return out
-
-        return dykstra_projectors([_psd2_project, slab], np.asarray(x, dtype=float))
+        # the nearest point of a convex set meeting a halfspace lies on the
+        # halfspace's boundary when the set's own nearest point is outside it:
+        # then it is the nearest point of the face x22 = 1
+        x = np.asarray(x, dtype=float)
+        p = _psd2_project(x)
+        if p[2] < 1.0:
+            p = _sturm_face_project(x)
+        return _result(x, p, "closed_form")
 
     def sample_fn(n, rng):
         out = np.empty((n, 3))

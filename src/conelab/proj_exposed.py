@@ -7,9 +7,10 @@ explicitly in the two low-rank cases where a recipe exists:
 * rays: P = x z^T with x generating the ray and z a dual element scaled to
   pairing one (``build_rank_one_projection``);
 * two-dimensional faces spanned by a pair of exposed extreme rays x, y:
-  P = x z2^T + y z1^T with z1 taken from the conjugate face of the x-ray
-  (so that <x, z1> = 0) and scaled so <y, z1> = 1, and symmetrically for z2
-  (``build_rank_two_projection``).
+  P = x z2^T + y z1^T with z1 the minimum-norm element of the conjugate
+  face of the x-ray (so that <x, z1> = 0) with <y, z1> = 1, and
+  symmetrically for z2 (``build_rank_two_projection``).  That element is
+  the face's projection of y, scaled; no sampling and no iteration.
 
 Every constructed map is certified on samples: idempotency in Frobenius
 norm, images landing in the target face, the face held pointwise fixed,
@@ -57,11 +58,7 @@ from .facial_structure import (
     minimal_face,
 )
 from .linalg_core import BoundedRegion, row_norms, sorted_unique
-from .projection_engine import (
-    NonConvergenceError,
-    dykstra_projectors,
-    project,
-)
+from .projection_engine import project
 
 __all__ = [
     "ProjectionMap",
@@ -77,11 +74,12 @@ __all__ = [
 
 
 class NotSeparableError(RuntimeError):
-    """Conjugate-face sampling could not separate the two generator rays.
+    """The conjugate faces cannot separate the two generator rays.
 
-    Raised by the rank-two constructor when every sampled element of one
-    conjugate face pairs to zero with the opposite generator, so no dual
-    slice element with the required cross pairing exists among the samples.
+    Raised by the rank-two constructor when the opposite generator's
+    projection onto one conjugate face pairs to zero with it: then no element
+    of that face pairs positively with the generator, so no dual slice
+    element with the required cross pairing exists.
     """
 
 
@@ -254,54 +252,24 @@ def _ray_face(K: ConeSpec, F: FaceHandle, g: np.ndarray, index: int) -> FaceHand
         )
 
 
-def _dual_slice_element(
-    G: FaceHandle,
-    pair_vec: np.ndarray,
-    *,
-    seed: int,
-    label: str,
-) -> np.ndarray:
-    """Minimum-norm element of G with <pair_vec, .> = 1, found among 256
-    samples of the conjugate face and polished with alternating projections.
-    A polish that does not converge raises NonConvergenceError naming label."""
-    rng = np.random.default_rng(seed)
-    S = face_samples(G, 256, rng)
-    norms = np.maximum(np.linalg.norm(S, axis=1), 1e-30)
-    pairs = S @ pair_vec
-    j = int(np.argmax(pairs / norms))
-    if pairs[j] <= 1e-9 * max(1.0, float(norms[j])):
+def _dual_slice_element(G: FaceHandle, pair_vec: np.ndarray, *, label: str) -> np.ndarray:
+    """Minimum-norm element of the cone G with <pair_vec, .> = 1, in closed
+    form: z = q / <pair_vec, q> for q = P_G(pair_vec). Every z in G has
+    <pair_vec, z> <= ||q|| ||z||, as the support function of G's unit ball
+    at pair_vec is ||q||, and q attains it: <pair_vec, q> = ||q||^2.
+    Raises NotSeparableError naming label when q pairs to zero."""
+    q = face_projection(G, pair_vec)
+    pair = float(pair_vec @ q)
+    # <pair_vec, q> = ||q||^2, so this asks ||q|| <= 1e-9 ||pair_vec||
+    if pair <= 1e-9 * float(np.linalg.norm(pair_vec)) * float(np.linalg.norm(q)):
         raise NotSeparableError(
-            f"not separable: all {len(S)} samples of the conjugate face pair "
-            f"to zero against the opposite generator while building {label} "
-            f"(largest pairing {float(pairs[j]):.3e}); the conjugate face "
+            f"not separable: the conjugate face and the opposite generator "
+            f"pair to zero while building {label} (the generator's projection "
+            f"onto the face pairs {pair:.3e} with it); the conjugate face "
             "appears to be contained in the opposite generator's orthogonal "
             "complement"
         )
-    z = S[j] / float(pairs[j])
-
-    nv2 = float(pair_vec @ pair_vec)
-
-    def onto_slice(v):
-        return v - ((float(pair_vec @ v) - 1.0) / nv2) * pair_vec
-
-    try:
-        res = dykstra_projectors(
-            [lambda v: face_projection(G, v), onto_slice],
-            np.zeros_like(z),
-            tol_change=1e-13,
-        )
-        cand = np.asarray(res.point, dtype=float)
-        on_slice = abs(float(pair_vec @ cand) - 1.0) <= 1e-9
-        in_face = np.linalg.norm(face_projection(G, cand) - cand) <= 1e-9 * (
-            1.0 + float(np.linalg.norm(cand))
-        )
-        if on_slice and in_face and np.linalg.norm(cand) <= np.linalg.norm(z) + 1e-9:
-            z = cand / float(pair_vec @ cand)
-    except NonConvergenceError as err:
-        raise NonConvergenceError(
-            f"polishing {label}: {err.message}", err.iterations, err.residual
-        ) from err
-    return z
+    return q / pair
 
 
 def build_rank_two_projection(
@@ -367,8 +335,8 @@ def build_rank_two_projection(
 
     Gx = conjugate_face(K, _ray_face(K, F, x, 0))
     Gy = conjugate_face(K, _ray_face(K, F, y, 1))
-    z1 = _dual_slice_element(Gx, y, seed=seed, label="z1")
-    z2 = _dual_slice_element(Gy, x, seed=seed + 1, label="z2")
+    z1 = _dual_slice_element(Gx, y, label="z1")
+    z2 = _dual_slice_element(Gy, x, label="z2")
 
     pairing_residual = max(
         abs(float(x @ z1)),

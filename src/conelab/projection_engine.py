@@ -228,16 +228,17 @@ def moreau_decompose(K, x) -> MoreauSplit:
 # ---------------------------------------------------------------------------
 
 
-def dykstra_projectors(
-    projectors,
-    x: np.ndarray,
-    max_iter: int = 50000,
-    tol_change: float = 1e-10,
-) -> ProjectionResult:
-    """Dykstra's alternating projection scheme over arbitrary closed convex
-    sets given as projector callables. Converges to the intersection's
-    projection; the convergence metric is the largest change of any
-    correction vector over one full sweep."""
+# Dykstra stops when no correction vector moved more than this over a sweep.
+DYKSTRA_TOL = 1e-10
+
+
+def dykstra_projectors(projectors, x: np.ndarray, max_iter: int = 50000) -> ProjectionResult:
+    """Dykstra's alternating projection scheme over closed convex sets given
+    as projector callables. Converges to the intersection's projection; the
+    convergence metric, reported as certificate_gap, is the largest change of
+    any correction vector over one full sweep, which bounds no distance. So
+    it runs only where no closed form exists: the intersection cones
+    (dykstra_intersection)."""
     x = np.asarray(x, dtype=float)
     m = len(projectors)
     if m == 0:
@@ -255,7 +256,7 @@ def dykstra_projectors(
             change = max(change, vec_norm(newcorr - prev))
             corrections[i] = newcorr
             y = p
-        if change < tol_change:
+        if change < DYKSTRA_TOL:
             return ProjectionResult(y, vec_norm(x - y), "dykstra", sweep, change)
     raise NonConvergenceError("Dykstra did not converge", max_iter, change)
 

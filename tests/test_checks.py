@@ -112,14 +112,14 @@ PROJECTIONS_DIM4_REPORT = {
     "name": "projections_dim4",
     "passed": True,
     "measured": {
-        "max_idempotency_residual": 2.499851492298633e-14,
+        "max_idempotency_residual": 0.0,
         "total_containment_violations": 0,
         "orthant_ray_idempotency": 0.0,
         "psd_ray_idempotency": 0.0,
         "cylinder_seam_ray_idempotency": 0.0,
         "orthant_face_idempotency": 0.0,
         "psd_diagonal_idempotency": 0.0,
-        "cylinder_seam_face_idempotency": 2.499851492298633e-14,
+        "cylinder_seam_face_idempotency": 0.0,
     },
     "expected": {"max_idempotency_residual": 1e-12, "total_containment_violations": 0},
     "note": "six constructed maps, 10^4 cone samples each",

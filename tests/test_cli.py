@@ -92,6 +92,17 @@ class TestProject:
         assert out == ""
         assert "--point must be finite" in err and "Traceback" not in err
 
+    def test_huge_cylinder_point_projects(self, capsys):
+        # the closed form takes overflow-safe norms: 1e200 times the answer
+        # for (3, 0, 0, 1), which is (2, 0, 0, 2) at sqrt(2), with no warning
+        code, out, err = _run(
+            capsys, ["project", "--spec", "cylinder_K_tilde", "--point", "3e200,0,0,1e200"]
+        )
+        assert code == 0 and err == ""
+        res = _result(out)
+        assert res["point"] == pytest.approx([2e200, 0.0, 0.0, 2e200], rel=1e-15)
+        assert res["distance"] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+
     def test_psd_full_matrix_point(self, capsys, tmp_path):
         p = tmp_path / "psd2.json"
         p.write_text('{"type": "psd", "n": 2}\n')

@@ -742,6 +742,36 @@ class TestHugePointSetMembership:
             assert small.status.name == verdict and small.distance == scaled
 
 
+class TestHugePointProjection:
+    """The cylinder sets' closed-form projections take overflow-safe norms:
+    a point past a norm of about 1.3e154 projects, with no overflow warning
+    (an error here), to 1e200 times the projection of the point scaled by
+    1e-200, at 1e200 times its distance."""
+
+    # (set, point scaled by 1e-200, its projection, its distance)
+    CASES = [
+        ("cylinder_hull", (3.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 2.0), np.sqrt(2.0)),
+        ("cylinder_dual", (3.0, 0.0, 0.0, 1.0), (2.0, 0.0, 0.0, 2.0), np.sqrt(2.0)),
+        ("dual_sum_set", (3.0, 0.0, 0.0, 1.0), (7 / 3, 0.0, 2 / 3, 5 / 3), 2.0 / np.sqrt(3.0)),
+        ("cylinder_hull", (-1.0, 1.0, 0.5, 0.0), None, None),
+    ]
+
+    @pytest.mark.parametrize("name, x, point, distance", CASES)
+    def test_huge_point(self, name, x, point, distance):
+        C = _huge_point_sets()[name]
+        x = np.array(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = project(C, x)
+            r = project(C, 1e200 * x)
+        if point is not None:
+            np.testing.assert_allclose(small.point, point, rtol=1e-15, atol=1e-15)
+            assert small.distance == pytest.approx(distance, rel=1e-15)
+        assert np.isfinite(r.point).all() and np.isfinite(r.distance)
+        np.testing.assert_allclose(r.point, 1e200 * small.point, rtol=1e-14, atol=0.0)
+        assert r.distance == pytest.approx(1e200 * small.distance, rel=1e-14)
+
+
 class TestLiftedDiskFace:
     def test_projector_feasible_idempotent(self):
         K = G.conic_hull_of_body(512)
@@ -826,6 +856,45 @@ class TestSturmSlice:
             grid = np.column_stack([a, np.sqrt(2.0) * b, np.ones_like(b)])
             grid_best = float(np.sum((grid - x) ** 2, axis=1).min())
             assert mine <= grid_best + 1e-6
+
+    # the point whose Dykstra projection took 46,420 sweeps at s = 0.1 and
+    # did not converge in 50,000 at s = 1
+    STALL = np.array([-736454.087, -162909.948, -482119.313])
+
+    @pytest.mark.parametrize("s", [0.1, 1.0])
+    def test_far_point_in_closed_form(self, s):
+        S = G.sturm_slice()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project(S, s * self.STALL)
+        assert r.iterations == 0 and r.method == "closed_form"
+        assert S.member_fn(r.point).in_set
+        np.testing.assert_allclose(r.point, [0.02447, -0.22121, 1.0], atol=1e-5)
+        assert r.distance == pytest.approx(np.linalg.norm(s * self.STALL - r.point), rel=1e-15)
+
+    def test_point_near_1e160_has_finite_distance(self):
+        x = np.array([9.55e158, 3.56e158, -5.06e159])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = project(G.sturm_slice(), x)
+        assert np.isfinite(r.point).all()
+        assert np.isfinite(r.distance) and r.distance > 5e159
+
+    @pytest.mark.parametrize("a, point, distance", [
+        (1e200, [1e200, 0.0, 1.0], 1e200),
+        (-1e200, [0.0, 0.0, 1.0], np.sqrt(2.0) * 1e200),
+    ])
+    def test_huge_point_compares_unsquared_distances(self, a, point, distance):
+        # the face projector's candidates sit about 1e200 away: their squared
+        # distances would overflow
+        x = np.array([a, 0.0, -1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            face = G._sturm_face_project(x)
+            r = project(G.sturm_slice(), x)
+        np.testing.assert_array_equal(face, point)
+        np.testing.assert_array_equal(r.point, point)
+        assert r.distance == pytest.approx(distance, rel=1e-15)
 
     def test_family_values(self):
         fam = G.sturm_family(0.1)

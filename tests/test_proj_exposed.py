@@ -16,7 +16,7 @@ from conelab import gallery
 from conelab.amenability_probe import ErrorBoundEstimate
 from conelab.facial_structure import FaceHandle, face_samples, minimal_face
 from conelab.linalg_core import BoundedRegion, orthonormalize, row_norms, sym_to_vec, vec_to_sym
-from conelab.projection_engine import NonConvergenceError, project_conic_generators
+from conelab.projection_engine import project_conic_generators
 from conelab.proj_exposed import (
     Codim1ConsistencyReport,
     NotSeparableError,
@@ -235,6 +235,7 @@ class TestRankTwo:
             parent=K,
             span_basis=np.eye(2),
             membership=lambda x, tol=None: bool(np.all(np.asarray(x) >= -1e-9)),
+            exact_projector=lambda x: np.maximum(x, 0.0),
             descriptor={"generators": np.array([[1.0, 0.0], [2.0, 0.0]])},
         )
         with pytest.raises(NotSeparableError, match="pair to zero"):
@@ -249,17 +250,6 @@ class TestRankTwo:
         )
         with pytest.raises(ValueError, match="not an exposed face"):
             build_rank_two_projection(K, F, n_samples=100)
-
-    def test_polish_failure_raises_with_label(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise NonConvergenceError("Dykstra did not converge", 50000, 1e-3)
-
-        monkeypatch.setattr("conelab.proj_exposed.dykstra_projectors", stalled)
-        K = CA.NonnegativeOrthant(3)
-        F = minimal_face(K, np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(NonConvergenceError, match="polishing z1: Dykstra did not") as info:
-            build_rank_two_projection(K, F, n_samples=100)
-        assert info.value.iterations == 50000 and info.value.residual == 1e-3
 
     def test_undecided_exposedness_warns_but_builds(self, monkeypatch):
         K = CA.NonnegativeOrthant(3)
